@@ -141,6 +141,8 @@ pub struct Client<R, W> {
     writer: W,
     next_id: u64,
     v2: bool,
+    /// The response line being read, kept between responses.
+    line: String,
 }
 
 #[cfg(unix)]
@@ -183,6 +185,7 @@ impl<R: BufRead, W: Write> Client<R, W> {
             writer,
             next_id: 0,
             v2,
+            line: String::new(),
         })
     }
 
@@ -198,11 +201,11 @@ impl<R: BufRead, W: Write> Client<R, W> {
     }
 
     fn receive(&mut self, during: &'static str) -> Result<Response, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ClientError::ServerClosed { during });
         }
-        Response::parse(line.trim_end()).map_err(ClientError::Protocol)
+        Response::parse(self.line.trim_end()).map_err(ClientError::Protocol)
     }
 
     /// Classifies a whole-request error response.

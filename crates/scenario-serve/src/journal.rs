@@ -54,7 +54,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::proto::{from_hex, to_hex, valid_token};
+use crate::proto::{from_hex, next_word, push_word, valid_token, HexDigits};
 
 /// FNV-1a 64-bit hash (std-only, stable across platforms).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -173,10 +173,12 @@ impl Journal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
             Ok(mut file) => {
-                let mut text = String::new();
-                file.read_to_string(&mut text)?;
-                on_disk = text.len() as u64;
-                match load_entries(&text, header) {
+                // Bytes, not a `String`: a corrupt byte that breaks
+                // UTF-8 is damage to truncate, not an I/O error.
+                let mut bytes = Vec::new();
+                file.read_to_end(&mut bytes)?;
+                on_disk = bytes.len() as u64;
+                match load_entries(&bytes, header) {
                     Ok((entries, len)) => {
                         completed = entries;
                         valid_len = len;
@@ -205,8 +207,18 @@ impl Journal {
             header,
             completed,
             fsync: self.fsync,
+            record: Vec::new(),
         }))
     }
+}
+
+/// The line in a `\n`-split chunk of a journal file. A file killed
+/// mid-write may end in a torn, unterminated line: only
+/// `\n`-terminated lines count, and one that is not UTF-8 is corrupt
+/// like any other malformed line.
+fn terminated_line(chunk: &[u8]) -> Option<&str> {
+    let line = std::str::from_utf8(chunk.strip_suffix(b"\n")?).ok()?;
+    Some(line.trim_end_matches('\r'))
 }
 
 /// Parses a journal file's body against the expected header. Returns
@@ -214,18 +226,12 @@ impl Journal {
 /// the last committed `cell` line) — the caller truncates anything
 /// after it.
 fn load_entries(
-    text: &str,
+    bytes: &[u8],
     expected: GridHeader,
 ) -> Result<(BTreeMap<usize, JournalEntry>, u64), String> {
-    // A file killed mid-write may end in a torn, unterminated line:
-    // only `\n`-terminated lines count.
-    let mut chunks = text.split_inclusive('\n');
-    let header = chunks.next().and_then(|chunk| {
-        chunk
-            .strip_suffix('\n')
-            .and_then(|line| GridHeader::parse(line.trim_end_matches('\r')))
-    });
-    let header = match header {
+    let mut chunks = bytes.split_inclusive(|&b| b == b'\n');
+    let header_chunk = chunks.next().unwrap_or_default();
+    let header = match terminated_line(header_chunk).and_then(GridHeader::parse) {
         // An empty or header-torn file holds no completions; the
         // caller truncates to zero and rewrites the header.
         None => return Ok((BTreeMap::new(), 0)),
@@ -246,20 +252,20 @@ fn load_entries(
     }
     let mut completed = BTreeMap::new();
     let mut pending_trace: Option<(usize, Vec<u8>)> = None;
-    let header_line_len = text.split_inclusive('\n').next().map_or(0, str::len);
-    let mut offset = header_line_len as u64;
+    let mut offset = header_chunk.len() as u64;
     let mut valid_len = offset;
     for chunk in chunks {
-        let Some(line) = chunk.strip_suffix('\n') else {
+        let Some(line) = terminated_line(chunk) else {
             break;
         };
-        let line = line.trim_end_matches('\r');
-        let mut words = line.split_whitespace();
-        let committed = match words.next() {
+        let mut rest = line;
+        let verb = next_word(&mut rest);
+        let mut words = rest.split_whitespace();
+        let committed = match verb {
             Some("trace") => {
                 let parsed = (|| {
-                    let index: usize = words.next()?.parse().ok()?;
-                    let bytes = from_hex(words.next().unwrap_or("")).ok()?;
+                    let index: usize = next_word(&mut rest)?.parse().ok()?;
+                    let bytes = from_hex(rest.trim()).ok()?;
                     Some((index, bytes))
                 })();
                 match parsed {
@@ -275,7 +281,8 @@ fn load_entries(
                     let index: usize = words.next()?.parse().ok()?;
                     let hash =
                         u64::from_str_radix(words.next()?.strip_prefix("hash=")?, 16).ok()?;
-                    let fields = words.collect::<Vec<_>>().join(" ");
+                    let mut fields = String::new();
+                    words.for_each(|word| push_word(&mut fields, word));
                     Some((index, hash, fields))
                 })();
                 let Some((index, hash, fields)) = parsed else {
@@ -316,6 +323,8 @@ pub struct GridJournal {
     header: GridHeader,
     completed: BTreeMap<usize, JournalEntry>,
     fsync: bool,
+    /// The record being appended, kept between cells.
+    record: Vec<u8>,
 }
 
 impl GridJournal {
@@ -330,21 +339,32 @@ impl GridJournal {
         self.header
     }
 
-    /// Appends one cell completion. The whole record goes out in a
-    /// single `write_all` so a crash tears at most the final line;
+    /// Appends one cell completion; `trace_hex` is the cell's trace as
+    /// [`crate::proto::trace_line`] encoded it for the socket, so a
+    /// journalled trace is encoded once. The whole record goes out in
+    /// a single `write_all` so a crash tears at most the final line;
     /// with fsync enabled ([`Journal::open_fsync`]) the record is also
     /// `sync_data`'d, making the commit host-crash durable before this
     /// returns.
-    pub fn record(&mut self, index: usize, fields: &str, trace: Option<&[u8]>) -> io::Result<()> {
-        let mut record = String::new();
-        if let Some(bytes) = trace {
-            record.push_str(&format!("trace {index} {}\n", to_hex(bytes)));
+    pub fn record(
+        &mut self,
+        index: usize,
+        fields: &str,
+        trace_hex: Option<HexDigits<'_>>,
+    ) -> io::Result<()> {
+        let record = &mut self.record;
+        record.clear();
+        if let Some(hex) = trace_hex {
+            write!(record, "trace {index} ")?;
+            record.extend_from_slice(hex.as_bytes());
+            record.push(b'\n');
         }
-        record.push_str(&format!(
-            "cell {index} hash={:016x} {fields}\n",
+        writeln!(
+            record,
+            "cell {index} hash={:016x} {fields}",
             fnv1a64(fields.as_bytes())
-        ));
-        self.file.write_all(record.as_bytes())?;
+        )?;
+        self.file.write_all(record)?;
         if self.fsync {
             self.file.sync_data()?;
         }
@@ -362,6 +382,14 @@ mod tests {
             cells: 4,
             recording: 3,
         }
+    }
+
+    /// Records a cell the way the server does: the trace's digits come
+    /// from the wire line's encoder.
+    fn record(grid: &mut GridJournal, index: usize, fields: &str, trace: Option<&[u8]>) {
+        let mut line = Vec::new();
+        let hex = trace.map(|bytes| crate::proto::trace_line(&mut line, "t", index, bytes));
+        grid.record(index, fields, hex).expect("record");
     }
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -383,9 +411,8 @@ mod tests {
                 .expect("io")
                 .expect("fresh token");
             assert!(grid.completed().is_empty());
-            grid.record(0, "name=a tasks=1", Some(&[1, 2, 3]))
-                .expect("record");
-            grid.record(2, "name=c tasks=3", None).expect("record");
+            record(&mut grid, 0, "name=a tasks=1", Some(&[1, 2, 3]));
+            record(&mut grid, 2, "name=c tasks=3", None);
         }
         let grid = journal
             .resume("tok-1", header())
@@ -425,7 +452,7 @@ mod tests {
         let journal = Journal::open(&dir).expect("open");
         {
             let mut grid = journal.resume("tok", header()).expect("io").expect("fresh");
-            grid.record(0, "name=a tasks=1", None).expect("record");
+            record(&mut grid, 0, "name=a tasks=1", None);
         }
         let path = dir.join("tok.journal");
         // A good entry, then three kinds of damage: an unterminated
@@ -452,6 +479,48 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_trace_lines_are_torn_tails_not_crashes() {
+        let dir = tempdir("badhex");
+        let journal = Journal::open(&dir).expect("open");
+        let path = dir.join("tok.journal");
+        let fields = "name=b tasks=2";
+        let cell = format!("cell 1 hash={:016x} {fields}\n", fnv1a64(fields.as_bytes()));
+        // A multi-byte char straddling a digit pair, a sign
+        // `from_str_radix` would have taken, a space inside the hex
+        // word, and a byte that is not UTF-8 at all.
+        for bad in [
+            "trace 1 a\u{e9}1\n".as_bytes(),
+            b"trace 1 +f\n",
+            b"trace 1 01 02\n",
+            b"trace 1 0\xff\n",
+        ] {
+            {
+                let mut grid = journal.resume("tok", header()).expect("io").expect("fresh");
+                record(&mut grid, 0, "name=a tasks=1", Some(&[1, 2, 3]));
+            }
+            let committed = std::fs::metadata(&path).expect("journal file").len();
+            let mut file = OpenOptions::new().append(true).open(&path).expect("open");
+            file.write_all(bad).expect("w");
+            file.write_all(cell.as_bytes()).expect("w");
+            drop(file);
+            let grid = journal.resume("tok", header()).expect("io").expect("same");
+            assert_eq!(grid.completed().len(), 1, "nothing past the damage counts");
+            assert_eq!(
+                grid.completed()[&0].trace.as_deref(),
+                Some(&[1u8, 2, 3][..])
+            );
+            drop(grid);
+            assert_eq!(
+                std::fs::metadata(&path).expect("journal file").len(),
+                committed,
+                "the damaged tail is truncated away"
+            );
+            std::fs::remove_file(&path).expect("reset");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn replayed_fields_hash_checks_protect_byte_identity() {
         let fields = "name=smoke+seed=1 tasks=512 makespan-bits=3ff0000000000000";
         let hash = fnv1a64(fields.as_bytes());
@@ -467,9 +536,8 @@ mod tests {
         assert!(!Journal::open(&dir).expect("open").fsync());
         {
             let mut grid = journal.resume("tok", header()).expect("io").expect("fresh");
-            grid.record(0, "name=a tasks=1", Some(&[9]))
-                .expect("record");
-            grid.record(3, "name=d tasks=4", None).expect("record");
+            record(&mut grid, 0, "name=a tasks=1", Some(&[9]));
+            record(&mut grid, 3, "name=d tasks=4", None);
         }
         // Durable records resume identically through either opening.
         let grid = Journal::open(&dir)

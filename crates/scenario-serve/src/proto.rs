@@ -41,9 +41,13 @@
 //! line (the grid continues); an error without `cell=` aborts the
 //! whole request (`busy`, `invalid-spec`, `token-mismatch`, …).
 //! Floats travel as the hex of their IEEE-754 bits (`f64::to_bits`)
-//! so nothing rounds; trace byte streams travel hex-encoded.
+//! so nothing rounds; trace byte streams travel hex-encoded: the
+//! server emits lowercase digits, a reader accepts either case, and
+//! anything else in the hex word (a sign, a space, a non-ASCII byte,
+//! an odd digit count) is a protocol error naming the first bad
+//! offset. The completion journal stores traces with the same codec.
 
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Write};
 
 use scenario::Outcome;
 
@@ -345,16 +349,15 @@ impl Response {
 /// is a malformed request the server should answer with `error -` and
 /// survive.
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Result<Request, String>>> {
-    let line = match read_line(reader)? {
-        None => return Ok(None),
-        Some(line) => line,
-    };
+    let mut line = String::new();
+    // Blank lines between requests are tolerated.
+    while line.trim().is_empty() {
+        if !read_line(reader, &mut line)? {
+            return Ok(None);
+        }
+    }
     let mut words = line.split_whitespace();
-    let verb = match words.next() {
-        // Blank lines between requests are tolerated.
-        None => return read_request(reader),
-        Some(v) => v,
-    };
+    let verb = words.next().expect("the line is not blank");
     let id = match words.next() {
         Some(id) => id.to_string(),
         None => return Ok(Some(Err(format!("`{verb}` needs an id")))),
@@ -390,15 +393,16 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Result<Reque
                 }
             }
             let mut spec_text = String::new();
+            let mut body = String::new();
             loop {
-                match read_line(reader)? {
-                    None => return Ok(Some(Err("EOF inside submit body (missing `end`)".into()))),
-                    Some(line) if line.trim() == "end" => break,
-                    Some(line) => {
-                        spec_text.push_str(&line);
-                        spec_text.push('\n');
-                    }
+                if !read_line(reader, &mut body)? {
+                    return Ok(Some(Err("EOF inside submit body (missing `end`)".into())));
                 }
+                if body.trim() == "end" {
+                    break;
+                }
+                spec_text.push_str(&body);
+                spec_text.push('\n');
             }
             Request::Submit {
                 id,
@@ -453,11 +457,23 @@ impl Request {
 impl Response {
     /// Renders the response as one newline-terminated line.
     pub fn render(&self) -> String {
-        match self {
-            Response::Pong { id } => format!("pong {id}\n"),
-            Response::Stats { id, stats } => format!(
+        let mut out = Vec::new();
+        self.render_into(&mut out);
+        String::from_utf8(out).expect("a rendered line is UTF-8 fields and ASCII hex")
+    }
+
+    /// Appends the response to `out` as one newline-terminated line —
+    /// the only renderer of the wire format: the server renders into
+    /// its per-connection buffer with this, [`render`] wraps it.
+    ///
+    /// [`render`]: Response::render
+    pub fn render_into(&self, out: &mut Vec<u8>) {
+        let wrote = match self {
+            Response::Pong { id } => writeln!(out, "pong {id}"),
+            Response::Stats { id, stats } => writeln!(
+                out,
                 "stats {id} entries={} hits={} misses={} builds={} evictions={} build-secs={} \
-                 admitted={} rejected={} shed={} inflight={}\n",
+                 admitted={} rejected={} shed={} inflight={}",
                 stats.catalog.entries,
                 stats.catalog.hits,
                 stats.catalog.misses,
@@ -475,12 +491,14 @@ impl Response {
                 total,
                 summary,
             } => {
-                format!("result {id} {index} {total} {}\n", summary.render_fields())
+                result_line(out, id, *index, *total, &summary.render_fields());
+                Ok(())
             }
             Response::Trace { id, index, bytes } => {
-                format!("trace {id} {index} {}\n", to_hex(bytes))
+                trace_line(out, id, *index, bytes);
+                Ok(())
             }
-            Response::Done { id, cells } => format!("done {id} cells={cells}\n"),
+            Response::Done { id, cells } => writeln!(out, "done {id} cells={cells}"),
             Response::Error {
                 id,
                 kind,
@@ -495,20 +513,21 @@ impl Response {
                 if let Some(ms) = retry_after_ms {
                     line.push_str(&format!(" retry-after-ms={ms}"));
                 }
-                format!("{line} {}\n", message.replace('\n', "; "))
+                writeln!(out, "{line} {}", message.replace('\n', "; "))
             }
-            Response::Bye { id } => format!("bye {id}\n"),
-        }
+            Response::Bye { id } => writeln!(out, "bye {id}"),
+        };
+        wrote.expect("writing to a Vec<u8> cannot fail");
     }
 
     /// Parses one response line (the client side).
     pub fn parse(line: &str) -> Result<Response, String> {
-        let mut words = line.split_whitespace();
-        let verb = words.next().ok_or("empty response line")?;
-        let id = words
-            .next()
+        let mut rest = line;
+        let verb = next_word(&mut rest).ok_or("empty response line")?;
+        let id = next_word(&mut rest)
             .ok_or_else(|| format!("`{verb}` response needs an id"))?
             .to_string();
+        let mut words = rest.split_whitespace();
         match verb {
             "pong" => Ok(Response::Pong { id }),
             "bye" => Ok(Response::Bye { id }),
@@ -547,7 +566,7 @@ impl Response {
                 let mut kind = ErrorKind::Internal;
                 let mut cell = None;
                 let mut retry_after_ms = None;
-                let mut rest: Vec<&str> = Vec::new();
+                let mut message = String::new();
                 let mut head = true;
                 for word in words {
                     if head {
@@ -568,23 +587,25 @@ impl Response {
                         // error lines land here wholesale.
                         head = false;
                     }
-                    rest.push(word);
+                    push_word(&mut message, word);
                 }
                 Ok(Response::Error {
                     id,
                     kind,
                     cell,
                     retry_after_ms,
-                    message: rest.join(" "),
+                    message,
                 })
             }
             "trace" => {
-                let index = words.next().ok_or("trace needs an index")?;
-                let hex = words.next().unwrap_or("");
+                // Everything after the index is the hex word, handed
+                // to the decoder whole instead of scanned for a word
+                // boundary first; the decoder rejects inner whitespace.
+                let index = next_word(&mut rest).ok_or("trace needs an index")?;
                 Ok(Response::Trace {
                     id,
                     index: index.parse().map_err(bad_num)?,
-                    bytes: from_hex(hex)?,
+                    bytes: from_hex(rest.trim())?,
                 })
             }
             "result" => {
@@ -616,36 +637,140 @@ fn bad_num(e: impl std::fmt::Display) -> String {
     format!("bad number: {e}")
 }
 
+/// Appends `result <id> <k> <n> <fields>\n` to `out`; `fields` is a
+/// [`RunSummary::render_fields`] tail, fresh or replayed verbatim from
+/// the completion journal.
+pub(crate) fn result_line(out: &mut Vec<u8>, id: &str, index: usize, total: usize, fields: &str) {
+    writeln!(out, "result {id} {index} {total} {fields}")
+        .expect("writing to a Vec<u8> cannot fail");
+}
+
+/// Appends `trace <id> <k> <hex>\n` to `out` and returns the hex word
+/// it wrote, so a caller that also journals the trace reuses the
+/// digits instead of encoding twice.
+pub fn trace_line<'a>(out: &'a mut Vec<u8>, id: &str, index: usize, bytes: &[u8]) -> HexDigits<'a> {
+    write!(out, "trace {id} {index} ").expect("writing to a Vec<u8> cannot fail");
+    let start = out.len();
+    hex_into(out, bytes);
+    let end = out.len();
+    out.push(b'\n');
+    HexDigits(&out[start..end])
+}
+
+/// A hex word written by this module's encoder: only [`trace_line`]
+/// makes one, so whoever takes it need not check the digits again.
+#[derive(Debug, Clone, Copy)]
+pub struct HexDigits<'a>(&'a [u8]);
+
+impl<'a> HexDigits<'a> {
+    /// The digits, lowercase ASCII.
+    pub fn as_bytes(self) -> &'a [u8] {
+        self.0
+    }
+}
+
+/// Appends `word` to `text`, one space after what is already there.
+pub(crate) fn push_word(text: &mut String, word: &str) {
+    if !text.is_empty() {
+        text.push(' ');
+    }
+    text.push_str(word);
+}
+
+/// Splits the next whitespace-delimited word off the front of `rest`.
+pub(crate) fn next_word<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let trimmed = rest.trim_start();
+    if trimmed.is_empty() {
+        return None;
+    }
+    let end = trimmed.find(char::is_whitespace).unwrap_or(trimmed.len());
+    let (word, tail) = trimmed.split_at(end);
+    *rest = tail;
+    Some(word)
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`HEX_VALUES`]; no digit's
+/// value shares a bit with it.
+const NOT_HEX: u8 = 0x80;
+
+/// The value of every byte read as a hex digit of either case, or
+/// [`NOT_HEX`].
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut value = 0;
+    while value < 16 {
+        let digit = HEX_DIGITS[value];
+        table[digit as usize] = value as u8;
+        table[digit.to_ascii_uppercase() as usize] = value as u8;
+        value += 1;
+    }
+    table
+};
+
+/// Appends the lowercase hex of `bytes` to `out`: the one encoder
+/// behind the socket, the journal and [`to_hex`].
+fn hex_into(out: &mut Vec<u8>, bytes: &[u8]) {
+    let start = out.len();
+    out.resize(start + bytes.len() * 2, 0);
+    for (pair, &byte) in out[start..].chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX_DIGITS[usize::from(byte >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(byte & 0x0f)];
+    }
+}
+
 /// Lowercase hex of `bytes`.
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
+    let mut out = Vec::new();
+    hex_into(&mut out, bytes);
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
-/// Inverse of [`to_hex`].
+/// Inverse of [`to_hex`], for untrusted input: exactly pairs of
+/// `[0-9a-fA-F]` decode, anything else is an error naming the first
+/// bad byte offset. Allocates `hex.len() / 2` bytes.
 pub fn from_hex(hex: &str) -> Result<Vec<u8>, String> {
+    let hex = hex.as_bytes();
     if !hex.len().is_multiple_of(2) {
-        return Err("odd-length hex".into());
+        return Err(format!("odd-length hex ({} digits)", hex.len()));
     }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).map_err(|e| format!("bad hex: {e}")))
-        .collect()
+    // Decode first and look for damage once at the end: a bad byte's
+    // marker survives in the OR of every table value seen.
+    let mut seen = 0u8;
+    let mut bytes = vec![0u8; hex.len() / 2];
+    for (byte, pair) in bytes.iter_mut().zip(hex.chunks_exact(2)) {
+        let (high, low) = (
+            HEX_VALUES[usize::from(pair[0])],
+            HEX_VALUES[usize::from(pair[1])],
+        );
+        seen |= high | low;
+        *byte = high << 4 | low;
+    }
+    if seen & NOT_HEX != 0 {
+        let offset = hex
+            .iter()
+            .position(|&b| HEX_VALUES[usize::from(b)] == NOT_HEX)
+            .expect("a marked byte was seen");
+        return Err(format!(
+            "bad hex: byte 0x{:02x} at offset {offset}",
+            hex[offset]
+        ));
+    }
+    Ok(bytes)
 }
 
-/// Reads one `\n`-terminated line, `None` at EOF.
-fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+/// Reads one `\n`-terminated line into `line` (cleared first, line
+/// ending stripped); `false` at EOF.
+fn read_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<bool> {
+    line.clear();
+    if reader.read_line(line)? == 0 {
+        return Ok(false);
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
-    Ok(Some(line))
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -861,8 +986,90 @@ mod tests {
     #[test]
     fn hex_round_trips() {
         let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
+        let hex = to_hex(&bytes);
+        assert!(
+            hex.starts_with("000102") && hex.ends_with("fdfeff"),
+            "lowercase out"
+        );
+        assert_eq!(from_hex(&hex).unwrap(), bytes);
+        assert_eq!(
+            from_hex(&hex.to_uppercase()).unwrap(),
+            bytes,
+            "either case in"
+        );
+        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+    }
+
+    #[test]
+    fn from_hex_survives_a_multibyte_char_across_a_pair() {
+        // Sliced as `&str` pairs this panicked inside the `é`.
+        let err = from_hex("a\u{e9}1").expect_err("not hex");
+        assert!(err.contains("offset 1"), "{err}");
+        assert!(Response::parse("trace r1 0 a\u{e9}1").is_err());
+    }
+
+    #[test]
+    fn from_hex_takes_hex_digits_only() {
+        // `u8::from_str_radix` took a sign: "+f" decoded to 15.
+        for (bad, at) in [
+            ("+f", 0),
+            ("-1", 0),
+            (" 1", 0),
+            ("1 ", 1),
+            ("0x", 1),
+            ("\u{80}", 0),
+            ("\u{ff}", 0),
+            ("0g", 1),
+            ("G0", 0),
+        ] {
+            let err = from_hex(&format!("00{bad}00")).expect_err(bad);
+            assert!(err.contains(&format!("offset {}", at + 2)), "{bad}: {err}");
+        }
+        for byte in (0..=255u8).filter(|b| !b.is_ascii_hexdigit() && b.is_ascii()) {
+            let word = String::from_utf8(vec![b'0', byte]).expect("ascii");
+            assert!(from_hex(&word).is_err(), "0x{byte:02x} is not a hex digit");
+        }
+        assert!(
+            (0x80..=0xff).all(|byte: usize| HEX_VALUES[byte] == NOT_HEX),
+            "no byte of a multi-byte char is a digit"
+        );
+        assert!(from_hex("00a").unwrap_err().contains("odd-length"));
+        assert!(from_hex("010g").unwrap_err().contains("offset 3"));
+    }
+
+    #[test]
+    fn a_trace_line_is_verb_id_index_then_one_hex_word() {
+        let trace = |bytes: &[u8]| Response::Trace {
+            id: "r1".into(),
+            index: 0,
+            bytes: bytes.to_vec(),
+        };
+        assert_eq!(
+            Response::parse("trace r1 0 00FFab"),
+            Ok(trace(&[0, 255, 0xab]))
+        );
+        assert_eq!(
+            Response::parse("  trace \t r1  0   00ff  "),
+            Ok(trace(&[0, 255]))
+        );
+        assert_eq!(Response::parse("trace r1 0"), Ok(trace(&[])));
+        assert!(
+            Response::parse("trace r1 0 00 ff").is_err(),
+            "space in the hex"
+        );
+        assert!(Response::parse("trace r1").is_err(), "no index");
+        assert!(Response::parse("trace r1 x 00").is_err(), "bad index");
+    }
+
+    #[test]
+    fn blank_lines_before_a_request_cost_no_stack() {
+        let mut bytes = "\n \r\n".repeat(200_000).into_bytes();
+        bytes.extend_from_slice(b"ping late\n");
+        let mut reader = std::io::Cursor::new(&mut bytes);
+        let request = read_request(&mut reader).expect("io").expect("not EOF");
+        assert_eq!(request, Ok(Request::Ping { id: "late".into() }));
+        assert!(read_request(&mut reader).expect("io").is_none(), "then EOF");
     }
 }

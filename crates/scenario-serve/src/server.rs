@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use scenario::{ScenarioSpec, TraceOptions};
 
 use crate::journal::{fnv1a64, GridHeader, GridJournal, Journal};
-use crate::proto::{self, ErrorKind, Request, Response, RunSummary, SubmitOptions};
+use crate::proto::{self, ErrorKind, HexDigits, Request, Response, RunSummary, SubmitOptions};
 use crate::service::{RunOptions, Service, SubmitError};
 
 /// Why a connection stopped being served.
@@ -68,43 +68,82 @@ pub fn serve_connection_with(
     reader: &mut impl BufRead,
     writer: &mut impl Write,
 ) -> io::Result<ServeExit> {
-    writeln!(writer, "{}", proto::GREETING)?;
-    writer.flush()?;
+    let mut out = Outbox {
+        writer,
+        buf: Vec::new(),
+    };
+    out.buf.extend_from_slice(proto::GREETING.as_bytes());
+    out.buf.push(b'\n');
+    out.send()?;
     loop {
         let request = match proto::read_request(reader)? {
             None => return Ok(ServeExit::Eof),
             Some(Err(message)) => {
-                write_response(writer, &Response::error("-", ErrorKind::Protocol, message))?;
+                out.respond(&Response::error("-", ErrorKind::Protocol, message))?;
                 continue;
             }
             Some(Ok(request)) => request,
         };
         match request {
-            Request::Ping { id } => write_response(writer, &Response::Pong { id })?,
-            Request::Stats { id } => write_response(
-                writer,
-                &Response::Stats {
-                    id,
-                    stats: service.stats(),
-                },
-            )?,
+            Request::Ping { id } => out.respond(&Response::Pong { id })?,
+            Request::Stats { id } => out.respond(&Response::Stats {
+                id,
+                stats: service.stats(),
+            })?,
             Request::Shutdown { id } => {
-                write_response(writer, &Response::Bye { id })?;
+                out.respond(&Response::Bye { id })?;
                 return Ok(ServeExit::Shutdown);
             }
             Request::Submit {
                 id,
                 options,
                 spec_text,
-            } => submit(service, journal, writer, &id, &options, &spec_text)?,
+            } => submit(service, journal, &mut out, &id, &options, &spec_text)?,
         }
+    }
+}
+
+/// One connection's way out: everything is rendered into `buf`, which
+/// is kept for the life of the connection, and leaves in one
+/// `write_all` + `flush` — per response, and per cell of a submit.
+struct Outbox<'a, W: Write> {
+    writer: &'a mut W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> Outbox<'_, W> {
+    /// Writes out what `buf` holds and empties it.
+    fn send(&mut self) -> io::Result<()> {
+        self.writer.write_all(&self.buf)?;
+        self.buf.clear();
+        self.writer.flush()
+    }
+
+    fn respond(&mut self, response: &Response) -> io::Result<()> {
+        response.render_into(&mut self.buf);
+        self.send()
+    }
+
+    /// Renders one cell's `result` line and, when it has a trace, its
+    /// `trace` line, whose hex digits it returns. `fields` is the
+    /// summary's field tail, fresh or journalled.
+    fn render_cell(
+        &mut self,
+        id: &str,
+        index: usize,
+        total: usize,
+        fields: &str,
+        trace: Option<&[u8]>,
+    ) -> Option<HexDigits<'_>> {
+        proto::result_line(&mut self.buf, id, index, total, fields);
+        trace.map(|bytes| proto::trace_line(&mut self.buf, id, index, bytes))
     }
 }
 
 fn submit(
     service: &Service,
     journal: Option<&Journal>,
-    writer: &mut impl Write,
+    out: &mut Outbox<'_, impl Write>,
     id: &str,
     options: &SubmitOptions,
     spec_text: &str,
@@ -116,15 +155,12 @@ fn submit(
         .map(|ms| Instant::now() + Duration::from_millis(ms));
     let spec = match ScenarioSpec::parse(spec_text) {
         Err(e) => {
-            return write_response(
-                writer,
-                &Response::error(id, ErrorKind::InvalidSpec, e.to_string()),
-            );
+            return out.respond(&Response::error(id, ErrorKind::InvalidSpec, e.to_string()));
         }
         Ok(spec) => spec,
     };
     if let Err(e) = spec.validate() {
-        return write_response(writer, &Response::error(id, ErrorKind::InvalidSpec, e));
+        return out.respond(&Response::error(id, ErrorKind::InvalidSpec, e));
     }
     let run_options = RunOptions {
         trace: options.trace.then_some(TraceOptions {
@@ -147,16 +183,14 @@ fn submit(
         };
         match journal.resume(token, header) {
             Err(e) => {
-                return write_response(
-                    writer,
-                    &Response::error(id, ErrorKind::Internal, format!("journal: {e}")),
-                );
+                return out.respond(&Response::error(
+                    id,
+                    ErrorKind::Internal,
+                    format!("journal: {e}"),
+                ));
             }
             Ok(Err(reason)) => {
-                return write_response(
-                    writer,
-                    &Response::error(id, ErrorKind::TokenMismatch, reason),
-                );
+                return out.respond(&Response::error(id, ErrorKind::TokenMismatch, reason));
             }
             Ok(Ok(grid)) => grid_journal = Some(grid),
         }
@@ -173,13 +207,13 @@ fn submit(
 
     // Interleave journal replay with fresh results so the stream stays
     // in canonical order: before fresh cell k, every journaled cell
-    // below k is emitted from its stored bytes.
+    // below k is emitted from its stored fields and trace.
     let mut write_error: Option<io::Error> = None;
     let mut next_emit = 0usize;
     let replay_below = |limit: usize,
                         next_emit: &mut usize,
                         grid_journal: &Option<GridJournal>,
-                        writer: &mut dyn Write|
+                        out: &mut Outbox<'_, _>|
      -> io::Result<()> {
         while *next_emit < limit {
             let index = *next_emit;
@@ -190,14 +224,8 @@ fn submit(
             else {
                 continue;
             };
-            writer
-                .write_all(format!("result {id} {index} {total} {}\n", entry.fields).as_bytes())?;
-            if let Some(bytes) = &entry.trace {
-                writer.write_all(
-                    format!("trace {id} {index} {}\n", proto::to_hex(bytes)).as_bytes(),
-                )?;
-            }
-            writer.flush()?;
+            out.render_cell(id, index, total, &entry.fields, entry.trace.as_deref());
+            out.send()?;
         }
         Ok(())
     };
@@ -208,54 +236,32 @@ fn submit(
                 return false;
             }
             let wrote = (|| -> io::Result<()> {
-                replay_below(index, &mut next_emit, &grid_journal, writer)?;
+                replay_below(index, &mut next_emit, &grid_journal, out)?;
                 next_emit = index + 1;
                 match result {
-                    Err(cell_error) => write_response(
-                        writer,
-                        &Response::Error {
-                            id: id.into(),
-                            kind: cell_error.kind,
-                            cell: Some(index),
-                            retry_after_ms: None,
-                            message: cell_error.message,
-                        },
-                    ),
+                    Err(cell_error) => out.respond(&Response::Error {
+                        id: id.into(),
+                        kind: cell_error.kind,
+                        cell: Some(index),
+                        retry_after_ms: None,
+                        message: cell_error.message,
+                    }),
                     Ok(run) => {
-                        let summary = RunSummary::of(&run.spec.name, &run.outcome);
+                        let fields = RunSummary::of(&run.spec.name, &run.outcome).render_fields();
                         let trace_bytes = run.trace.as_ref().map(|t| t.to_bytes());
-                        // A failing journal write degrades to non-resumable
-                        // serving rather than failing the submit: the
-                        // result is already in hand.
-                        let journal_ok = match &mut grid_journal {
-                            Some(grid) => grid
-                                .record(index, &summary.render_fields(), trace_bytes.as_deref())
-                                .is_ok(),
-                            None => true,
-                        };
-                        if !journal_ok {
-                            grid_journal = None;
+                        let hex =
+                            out.render_cell(id, index, total, &fields, trace_bytes.as_deref());
+                        // The journal commits before the socket
+                        // acknowledges. A failing journal write
+                        // degrades to non-resumable serving rather
+                        // than failing the submit: the result is
+                        // already in hand.
+                        if let Some(grid) = &mut grid_journal {
+                            if grid.record(index, &fields, hex).is_err() {
+                                grid_journal = None;
+                            }
                         }
-                        write_response(
-                            writer,
-                            &Response::Result {
-                                id: id.into(),
-                                index,
-                                total,
-                                summary,
-                            },
-                        )?;
-                        if let Some(bytes) = trace_bytes {
-                            write_response(
-                                writer,
-                                &Response::Trace {
-                                    id: id.into(),
-                                    index,
-                                    bytes,
-                                },
-                            )?;
-                        }
-                        Ok(())
+                        out.send()
                     }
                 }
             })();
@@ -271,32 +277,21 @@ fn submit(
         return Err(e);
     }
     if let Err(busy) = outcome {
-        return write_response(
-            writer,
-            &Response::Error {
-                id: id.into(),
-                kind: ErrorKind::Busy,
-                cell: None,
-                retry_after_ms: Some(busy.retry_after_ms),
-                message: SubmitError::Busy(busy).to_string(),
-            },
-        );
+        return out.respond(&Response::Error {
+            id: id.into(),
+            kind: ErrorKind::Busy,
+            cell: None,
+            retry_after_ms: Some(busy.retry_after_ms),
+            message: SubmitError::Busy(busy).to_string(),
+        });
     }
     // Anything journaled past the last fresh cell (or everything, on a
     // fully-completed replay).
-    replay_below(total, &mut next_emit, &grid_journal, writer)?;
-    write_response(
-        writer,
-        &Response::Done {
-            id: id.into(),
-            cells: total,
-        },
-    )
-}
-
-fn write_response(writer: &mut (impl Write + ?Sized), response: &Response) -> io::Result<()> {
-    writer.write_all(response.render().as_bytes())?;
-    writer.flush()
+    replay_below(total, &mut next_emit, &grid_journal, out)?;
+    out.respond(&Response::Done {
+        id: id.into(),
+        cells: total,
+    })
 }
 
 /// Serves the protocol on stdin/stdout (`repro serve --stdio`): a
@@ -409,7 +404,9 @@ fn serve_stream(
     stream: &std::os::unix::net::UnixStream,
 ) -> io::Result<ServeExit> {
     let mut reader = io::BufReader::new(stream.try_clone()?);
-    let mut writer = io::BufWriter::new(stream);
+    // No `BufWriter`: the connection's own buffer already gathers each
+    // response into one write.
+    let mut writer = stream;
     serve_connection_with(service, journal, &mut reader, &mut writer)
 }
 

@@ -45,7 +45,13 @@
 #      server restarted on the *same* socket path (exercising the
 #      stale-socket probe/unlink), the token resubmitted with the
 #      retrying client, and every resumed trace `cmp`ed against an
-#      uninterrupted run's.
+#      uninterrupted run's,
+#  14. the repo benchmark's harness (`bench/`, a package outside this
+#      workspace that compiles against the crates' public API): its
+#      `--smoke` run (every workload, both passes, all output checks,
+#      small inputs) and its own unit tests — so a crate-API change
+#      that breaks the benchmark's build or checks fails here, not in
+#      the driver.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -181,5 +187,9 @@ for ref_trace in "$chaos_dir"/ref/*.trace; do
     resumed_cells=$((resumed_cells + 1))
 done
 [ "$resumed_cells" -eq 8 ] || { echo "verify: expected 8 resumed traces, got $resumed_cells" >&2; exit 1; }
+
+echo "==> benchmark harness (bench/ --smoke + its unit tests)"
+cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- --smoke
+(cd bench && cargo test --offline)
 
 echo "verify: all gates green"
