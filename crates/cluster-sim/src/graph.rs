@@ -269,6 +269,17 @@ impl GraphBuilder {
         }
     }
 
+    /// Makes room for the next task's `preds` predecessor and
+    /// `sources` source entries, sizing a full column for all `total`
+    /// tasks of a stream at once (see [`reserve_projected`]) where
+    /// [`GraphBuilder::push`] alone would double it.
+    pub(crate) fn reserve_rows(&mut self, preds: usize, sources: usize, total: usize) {
+        let done = self.tasks.len() + 1;
+        reserve_projected(&mut self.pred_edges, preds, done, total);
+        reserve_projected(&mut self.src_tasks, sources, done, total);
+        reserve_projected(&mut self.src_bytes, sources, done, total);
+    }
+
     /// Appends one task with its predecessor ids and `(producer,
     /// bytes)` sources. Tasks must arrive in id order and edges point
     /// backwards.
@@ -333,6 +344,20 @@ impl GraphBuilder {
             src_tasks: self.src_tasks,
             src_bytes: self.src_bytes,
         }
+    }
+}
+
+/// Makes room for `extra` more elements in a column that grows with
+/// the task count. A full column is sized for the whole stream — the
+/// per-task density of the `done ≥ 1` tasks so far (the current one
+/// included) × `total` tasks — instead of doubling through
+/// reallocations that copy megabytes; a projection that falls short is
+/// corrected at the next growth, and never grows less than doubling.
+pub(crate) fn reserve_projected<T>(v: &mut Vec<T>, extra: usize, done: usize, total: usize) {
+    let need = v.len() + extra;
+    if need > v.capacity() {
+        let projected = need.saturating_mul(total) / done;
+        v.reserve(projected.max(need) - v.len());
     }
 }
 

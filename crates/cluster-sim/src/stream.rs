@@ -38,12 +38,13 @@
 //! access count, not the buffer sizes).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dataflow_rt::deps::covers_chunk;
 use dataflow_rt::{Access, AccessMode, Region};
 use fit_model::RateModel;
 
-use crate::graph::{GraphBuilder, SimGraph, SimTask};
+use crate::graph::{reserve_projected, GraphBuilder, SimGraph, SimTask};
 
 /// One streamed task description, filled in by
 /// [`TaskStream::next_task`]. The buffer is reused across tasks so a
@@ -118,36 +119,74 @@ pub trait TaskStream {
     fn next_task(&mut self, out: &mut StreamTask) -> bool;
 }
 
-/// One recorded access of the streaming dependency tracker.
+/// One recorded access of the streaming dependency tracker. The
+/// deduplication stamp sits next to the fields a visit reads, so
+/// testing a record touches one cache line.
 struct AccessRec {
     region: Region,
     mode: AccessMode,
     task: u32,
+    /// Arena index of the last access whose scan visited this record
+    /// (initially the record's own index, which no later scan uses).
+    seen_by: u32,
+}
+
+/// Hasher of the chunk index's `(buffer, chunk)` keys: one rotate, xor
+/// and multiply per key word. The keys come from the program's own
+/// streams (nothing to defend against) and the map is only ever
+/// probed, never iterated, so the hasher cannot leak into the graph.
+#[derive(Default, Clone, Copy)]
+struct ChunkHasher(u64);
+
+impl ChunkHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for ChunkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.mix(u64::from(b)));
+    }
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.mix(word as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the entropy in the high bits; the table
+        // takes its bucket from the low ones.
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 /// The streaming reimplementation of `dataflow_rt`'s `DepTracker`,
 /// engineered for million-task streams: access records live once in an
 /// arena (chunk lists hold indexes, so multi-chunk records are not
-/// duplicated), per-access deduplication uses an `O(1)` stamp instead
-/// of a linear `seen` list, and each chunk keeps writer and reader
-/// records apart so a read access never walks the (potentially long,
-/// e.g. a never-written input matrix's) reader history it cannot
-/// conflict with. Conflict and pruning semantics are identical — only
-/// read–read pairs commute, so skipping reader records for `In`
-/// accesses drops no edge; preds are sorted and deduplicated, so the
-/// changed scan order is unobservable. See the module docs and
-/// `tests/stream_prop.rs`.
+/// duplicated), per-access deduplication uses an `O(1)` stamp inside
+/// the record instead of a linear `seen` list, each chunk is probed
+/// once per access (scan, prune and insert under the same entry), and
+/// each chunk keeps writer and reader records apart so a read access
+/// never walks the (potentially long, e.g. a never-written input
+/// matrix's) reader history it cannot conflict with. Conflict and
+/// pruning semantics are identical — only read–read pairs commute, so
+/// skipping reader records for `In` accesses drops no edge; preds are
+/// sorted and deduplicated, so the changed scan order is unobservable.
+/// See the module docs and `tests/stream_prop.rs`.
 struct StreamTracker {
     chunk_size: usize,
+    /// Tasks the stream promised, for sizing `arena`.
+    tasks: usize,
     /// All recorded accesses, in registration order.
     arena: Vec<AccessRec>,
-    /// Per-record stamp of the last query that visited it.
-    last_seen: Vec<u64>,
-    /// Query counter backing `last_seen`.
-    stamp: u64,
     /// Chunk index: `(buffer, chunk) → arena indexes`, insertion order
     /// within each class.
-    chunks: HashMap<(u32, usize), ChunkRecs>,
+    chunks: HashMap<(u32, usize), ChunkRecs, BuildHasherDefault<ChunkHasher>>,
 }
 
 /// One chunk's recorded accesses, writers and readers apart.
@@ -158,22 +197,30 @@ struct ChunkRecs {
 }
 
 impl StreamTracker {
-    fn new(chunk_size: usize) -> Self {
+    /// A tracker for a stream of `tasks` tasks (at least one access
+    /// record each).
+    fn new(chunk_size: usize, tasks: usize) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
         StreamTracker {
             chunk_size,
-            arena: Vec::new(),
-            last_seen: Vec::new(),
-            stamp: 0,
-            chunks: HashMap::new(),
+            tasks,
+            arena: Vec::with_capacity(tasks),
+            chunks: HashMap::default(),
         }
     }
 
     /// Registers `task`'s accesses and appends its data-dependency
     /// predecessors to `preds` (sorted, deduplicated) — the exact
-    /// semantics of `DepTracker::record`.
+    /// semantics of `DepTracker::record`. Tasks arrive in id order
+    /// from 0, so `task + 1` of the promised tasks have been seen.
     fn record(&mut self, task: u32, accesses: &[Access], preds: &mut Vec<u32>) {
         preds.clear();
+        reserve_projected(
+            &mut self.arena,
+            accesses.len(),
+            task as usize + 1,
+            self.tasks,
+        );
         for access in accesses {
             self.record_one(task, access, preds);
         }
@@ -181,52 +228,42 @@ impl StreamTracker {
         preds.dedup();
     }
 
+    /// One pass over the access's chunks, one index probe each: collect
+    /// the chunk's conflicting predecessors (each record tested once
+    /// per access, however many chunks it spans; a pure read can only
+    /// conflict with writers, a write conflicts with both), then prune
+    /// the chunk if the access fully overwrites it (tasks ordered
+    /// before a covering writer are reachable through it transitively)
+    /// and insert the new record.
+    ///
+    /// Doing both per chunk yields the same edges as `DepTracker`'s
+    /// scan-everything-then-insert: pruning chunk `c` only edits `c`'s
+    /// lists, which the scan has already left; a record that also sits
+    /// in a later chunk was stamped at `c` and is skipped there either
+    /// way; and the new record is never met, as each chunk is scanned
+    /// before the record enters it.
     fn record_one(&mut self, task: u32, access: &Access, preds: &mut Vec<u32>) {
-        self.stamp += 1;
-        let stamp = self.stamp;
+        let idx = u32::try_from(self.arena.len()).expect("stream exceeds u32 access records");
         let buf = access.region.buf.index() as u32;
-
-        // Phase 1: collect conflicting predecessors (each record tested
-        // once per access, however many chunks it spans). A pure read
-        // can only conflict with writers; a write conflicts with both.
-        let (arena, last_seen) = (&self.arena, &mut self.last_seen);
-        for_each_chunk(&access.region, self.chunk_size, |c| {
-            if let Some(lists) = self.chunks.get(&(buf, c)) {
-                let mut scan = |list: &[u32]| {
-                    for &idx in list {
-                        let rec = &arena[idx as usize];
-                        if rec.task == task || last_seen[idx as usize] == stamp {
-                            continue;
-                        }
-                        last_seen[idx as usize] = stamp;
-                        if rec.mode.conflicts_with(access.mode)
-                            && rec.region.overlaps(&access.region)
-                        {
-                            preds.push(rec.task);
-                        }
-                    }
-                };
-                scan(&lists.writers);
-                if access.mode.writes() {
-                    scan(&lists.readers);
-                }
-            }
-        });
-
-        // Phase 2: insert the new record, pruning chunks it fully
-        // overwrites (tasks ordered before a covering writer are
-        // reachable through it transitively).
-        let idx = self.arena.len() as u32;
-        self.arena.push(AccessRec {
-            region: access.region,
-            mode: access.mode,
-            task,
-        });
-        self.last_seen.push(0);
-        let (chunks, chunk_size) = (&mut self.chunks, self.chunk_size);
+        let writes = access.mode.writes();
+        let (arena, chunks, chunk_size) = (&mut self.arena, &mut self.chunks, self.chunk_size);
         for_each_chunk(&access.region, chunk_size, |c| {
             let lists = chunks.entry((buf, c)).or_default();
-            if access.mode.writes() {
+            let mut scan = |list: &[u32]| {
+                for &i in list {
+                    let rec = &mut arena[i as usize];
+                    if rec.task == task || rec.seen_by == idx {
+                        continue;
+                    }
+                    rec.seen_by = idx;
+                    if rec.mode.conflicts_with(access.mode) && rec.region.overlaps(&access.region) {
+                        preds.push(rec.task);
+                    }
+                }
+            };
+            scan(&lists.writers);
+            if writes {
+                scan(&lists.readers);
                 if covers_chunk(&access.region, c, chunk_size) {
                     lists.writers.clear();
                     lists.readers.clear();
@@ -235,6 +272,12 @@ impl StreamTracker {
             } else {
                 lists.readers.push(idx);
             }
+        });
+        self.arena.push(AccessRec {
+            region: access.region,
+            mode: access.mode,
+            task,
+            seen_by: idx,
         });
     }
 }
@@ -274,11 +317,11 @@ impl SimGraph {
     /// [`TaskStream::len`] promised.
     pub fn from_stream<S: TaskStream + ?Sized>(stream: &mut S, rates: &RateModel) -> SimGraph {
         let n = stream.len();
-        let mut tracker = StreamTracker::new(stream.chunk_size());
+        let mut tracker = StreamTracker::new(stream.chunk_size(), n);
         let mut b = GraphBuilder::with_capacity(n);
         // Flat side table of every task's *write* regions, for
         // latest-overlapping-writer source attribution.
-        let mut write_regions: Vec<Region> = Vec::new();
+        let mut write_regions: Vec<Region> = Vec::with_capacity(n);
         let mut write_starts: Vec<u32> = Vec::with_capacity(n + 1);
         write_starts.push(0);
 
@@ -315,11 +358,12 @@ impl SimGraph {
                 }
             }
 
-            for access in spec.accesses.iter().filter(|a| a.mode.writes()) {
-                write_regions.push(access.region);
-            }
+            let writes = spec.accesses.iter().filter(|a| a.mode.writes());
+            reserve_projected(&mut write_regions, writes.clone().count(), count, n);
+            write_regions.extend(writes.map(|a| a.region));
             write_starts.push(write_regions.len() as u32);
 
+            b.reserve_rows(preds.len(), sources.len(), n);
             let label = b.intern(spec.label);
             b.push(
                 SimTask {
@@ -358,7 +402,7 @@ impl SimGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow_rt::BufferId;
+    use dataflow_rt::{BufferId, TaskGraph, TaskSpec};
 
     /// A stream of `k` independent writers over one buffer.
     struct Writers {
@@ -439,6 +483,105 @@ mod tests {
         assert_eq!(g.sources(3).count(), 0);
         // Successors mirror predecessors.
         assert_eq!(g.succs(0), &[1, 2, 3]);
+    }
+
+    /// A stream of explicitly listed access sets over buffer 0, with
+    /// chunk size 8.
+    struct Listed {
+        tasks: Vec<Vec<Access>>,
+        next: usize,
+    }
+
+    impl TaskStream for Listed {
+        fn len(&self) -> usize {
+            self.tasks.len()
+        }
+        fn chunk_size(&self) -> usize {
+            8
+        }
+        fn next_task(&mut self, out: &mut StreamTask) -> bool {
+            let Some(accesses) = self.tasks.get(self.next) else {
+                return false;
+            };
+            self.next += 1;
+            out.reset("t", 0, 1.0);
+            out.accesses.extend_from_slice(accesses);
+            true
+        }
+    }
+
+    fn span(offset: usize, len: usize) -> Region {
+        Region::contiguous(BufferId::from_raw(0), offset, len)
+    }
+
+    /// Builds `tasks` through the stream and through
+    /// `TaskGraph::submit` + `from_task_graph`, asserts the two graphs
+    /// equal, and returns the streamed one.
+    fn built_both_ways(tasks: Vec<Vec<Access>>) -> SimGraph {
+        let mut reference = TaskGraph::with_chunk_size(8);
+        for accesses in &tasks {
+            let spec = accesses
+                .iter()
+                .fold(TaskSpec::new("t").flops(1.0), |spec, a| match a.mode {
+                    AccessMode::In => spec.reads(a.region),
+                    AccessMode::Out => spec.writes(a.region),
+                    AccessMode::InOut => spec.updates(a.region),
+                });
+            reference.submit(spec);
+        }
+        let rates = RateModel::roadrunner();
+        let reference = SimGraph::from_task_graph(&reference, &rates, |_| 0);
+        let streamed = SimGraph::from_stream(&mut Listed { tasks, next: 0 }, &rates);
+        assert_eq!(reference, streamed);
+        streamed
+    }
+
+    #[test]
+    fn pruning_one_chunk_keeps_a_spanning_record_in_the_next() {
+        let g = built_both_ways(vec![
+            // Spans chunks 0 and 1.
+            vec![Access::new(span(0, 16), AccessMode::Out)],
+            // Covers, and so prunes, chunk 0 only.
+            vec![Access::new(span(0, 8), AccessMode::Out)],
+            // Chunk 1 must still hold the first record.
+            vec![Access::new(span(8, 8), AccessMode::In)],
+        ]);
+        assert_eq!(g.preds(1), &[0]);
+        assert_eq!(g.preds(2), &[0]);
+    }
+
+    #[test]
+    fn read_then_update_of_one_region_has_no_self_edge() {
+        let g = built_both_ways(vec![
+            vec![Access::new(span(0, 8), AccessMode::Out)],
+            // The update's scan meets this task's own read record.
+            vec![
+                Access::new(span(0, 8), AccessMode::In),
+                Access::new(span(0, 8), AccessMode::InOut),
+            ],
+            vec![Access::new(span(0, 8), AccessMode::In)],
+        ]);
+        assert_eq!(g.preds(1), &[0]);
+        assert_eq!(g.preds(2), &[1]);
+    }
+
+    #[test]
+    fn strided_write_prunes_only_the_chunks_it_covers() {
+        // Blocks [0, 12) and [16, 28): chunk 0 is covered, chunk 1 is
+        // written only in [8, 12).
+        let strided = Region::strided(BufferId::from_raw(0), 0, 12, 16, 2);
+        let g = built_both_ways(vec![
+            vec![Access::new(span(0, 8), AccessMode::Out)],
+            vec![Access::new(span(8, 8), AccessMode::Out)],
+            vec![Access::new(strided, AccessMode::Out)],
+            vec![Access::new(span(0, 8), AccessMode::In)],
+            vec![Access::new(span(12, 4), AccessMode::In)],
+        ]);
+        assert_eq!(g.preds(2), &[0, 1]);
+        // Chunk 0 was pruned down to the strided writer …
+        assert_eq!(g.preds(3), &[2]);
+        // … chunk 1 was not: its first writer is still found there.
+        assert_eq!(g.preds(4), &[1]);
     }
 
     #[test]

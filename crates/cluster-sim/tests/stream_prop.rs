@@ -24,6 +24,9 @@ struct RandAccess {
     len: u8,
     mode: u8,
     strided: bool,
+    /// Four times the length (up to 192 elements): regions spanning up
+    /// to 24 chunks of 8, and several chunks of 16 and of 64.
+    wide: bool,
 }
 
 /// A randomized task: up to three accesses plus a flop count and node.
@@ -39,7 +42,7 @@ const BUF_LEN: usize = 256;
 
 fn region_of(a: RandAccess, bufs: &[dataflow_rt::BufferId]) -> Region {
     let buf = bufs[a.buf as usize % BUFFERS];
-    let len = 1 + a.len as usize % 48;
+    let len = (1 + a.len as usize % 48) * if a.wide { 4 } else { 1 };
     let start = a.start as usize % (BUF_LEN - len);
     if a.strided && len >= 2 {
         // A few blocks with a gap, staying inside the buffer.
@@ -131,13 +134,15 @@ fn rand_task() -> impl Strategy<Value = RandTask> {
                 any::<u8>(),
                 any::<u8>(),
                 any::<bool>(),
+                any::<bool>(),
             )
-                .prop_map(|(buf, start, len, mode, strided)| RandAccess {
+                .prop_map(|(buf, start, len, mode, strided, wide)| RandAccess {
                     buf,
                     start,
                     len,
                     mode,
                     strided,
+                    wide,
                 }),
             1..4,
         ),
@@ -149,6 +154,38 @@ fn rand_task() -> impl Strategy<Value = RandTask> {
             flops,
             node,
         })
+}
+
+/// The generator must keep exercising records that sit in several
+/// chunk lists at once: over every input it can draw, at least a
+/// quarter of the regions span three or more chunks of the smallest
+/// chunk size.
+#[test]
+fn generator_draws_regions_spanning_several_chunks() {
+    let bufs: Vec<_> = (0..BUFFERS as u32)
+        .map(dataflow_rt::BufferId::from_raw)
+        .collect();
+    let (mut spanning, mut total) = (0u32, 0u32);
+    for start in 0..=u8::MAX {
+        for len in 0..=u8::MAX {
+            for (strided, wide) in [(false, false), (false, true), (true, false), (true, true)] {
+                let a = RandAccess {
+                    buf: 0,
+                    start,
+                    len,
+                    mode: 0,
+                    strided,
+                    wide,
+                };
+                total += 1;
+                spanning += u32::from(region_of(a, &bufs).chunk_ids(8).len() >= 3);
+            }
+        }
+    }
+    assert!(
+        spanning * 4 >= total,
+        "{spanning} of {total} regions span ≥ 3 chunks"
+    );
 }
 
 proptest! {

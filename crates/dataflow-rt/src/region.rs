@@ -116,7 +116,9 @@ impl Region {
     /// Exact test: do `self` and `other` share at least one element?
     ///
     /// Cost is `O(min(self.blocks, other.blocks))` after an `O(1)`
-    /// bounding-interval rejection.
+    /// bounding-interval rejection. Two single-block regions (every
+    /// tile of the tiled benchmarks) are decided by that interval test
+    /// alone: a one-block region *is* its bounding interval.
     pub fn overlaps(&self, other: &Region) -> bool {
         if self.buf != other.buf {
             return false;
@@ -124,6 +126,10 @@ impl Region {
         // Bounding-interval quick rejection.
         if self.span_end() <= other.offset || other.span_end() <= self.offset {
             return false;
+        }
+        // Interval fast path: no per-block division needed.
+        if self.blocks == 1 && other.blocks == 1 {
+            return true;
         }
         // Iterate the region with fewer blocks; O(1) arithmetic test of
         // each of its blocks against the other strided sequence.

@@ -35,6 +35,41 @@ proptest! {
         prop_assert_eq!(b.overlaps(&a), brute);
     }
 
+    /// The interval fast path of `Region::overlaps`: the single-block
+    /// pairs four sorted cut points make — touching-but-disjoint
+    /// `[p0,p1) [p1,p2)`, nested `[p0,p3) ⊇ [p1,p2)`, crossing
+    /// `[p0,p2) [p1,p3)`, apart `[p0,p1) [p2,p3)` — and each of those
+    /// intervals against a strided region, all symmetric and equal to
+    /// brute force.
+    #[test]
+    fn single_block_overlap_matches_brute_force(
+        cuts in proptest::collection::vec(0usize..120, 4),
+        strided in region_strategy(160),
+    ) {
+        let mut p = cuts;
+        p.sort_unstable();
+        let pairs = [
+            ((p[0], p[1]), (p[1], p[2])),
+            ((p[0], p[3]), (p[1], p[2])),
+            ((p[0], p[2]), (p[1], p[3])),
+            ((p[0], p[1]), (p[2], p[3])),
+        ];
+        let buf = dataflow_rt::BufferId::from_raw(0);
+        for ((s1, e1), (s2, e2)) in pairs {
+            if s1 == e1 || s2 == e2 {
+                continue;
+            }
+            let a = Region::contiguous(buf, s1, e1 - s1);
+            let b = Region::contiguous(buf, s2, e2 - s2);
+            let brute = s1.max(s2) < e1.min(e2);
+            prop_assert_eq!(a.overlaps(&b), brute, "{:?} vs {:?}", a, b);
+            prop_assert_eq!(b.overlaps(&a), brute, "{:?} vs {:?}", b, a);
+            let hits = elements(&strided).iter().any(|&x| x >= s1 && x < e1);
+            prop_assert_eq!(a.overlaps(&strided), hits, "{:?} vs {:?}", a, strided);
+            prop_assert_eq!(strided.overlaps(&a), hits, "{:?} vs {:?}", strided, a);
+        }
+    }
+
     /// `chunk_ids` is exactly the set of chunks containing at least one
     /// element, ascending.
     #[test]

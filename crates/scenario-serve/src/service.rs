@@ -507,7 +507,10 @@ mod tests {
             workers: 2,
             ..ServiceConfig::default()
         });
-        let grid = preset("grid-smoke").expect("catalog preset");
+        // Renamed so the armed cell name cannot fire in another test
+        // of this binary that runs the same preset concurrently.
+        let mut grid = preset("grid-smoke").expect("catalog preset");
+        grid.name = "grid-injected-panic".to_string();
         let victim = grid.expand()[3].name.clone();
         crate::chaos::arm_panic(&victim);
         let results = service

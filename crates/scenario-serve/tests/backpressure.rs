@@ -5,6 +5,9 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::wait_for_socket;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -25,14 +28,6 @@ fn socket_path(tag: &str) -> PathBuf {
         "scenario-serve-backpressure-{}-{tag}.sock",
         std::process::id()
     ))
-}
-
-fn wait_for_socket(path: &std::path::Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !path.exists() {
-        assert!(Instant::now() < deadline, "server never bound {path:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// A grid whose traces are far larger than a Unix socket's buffers, so

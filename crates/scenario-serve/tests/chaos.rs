@@ -7,6 +7,9 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::wait_for_socket;
 use std::io::BufReader;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -24,14 +27,6 @@ fn socket_path(tag: &str) -> PathBuf {
         "scenario-serve-chaos-{}-{tag}.sock",
         std::process::id()
     ))
-}
-
-fn wait_for_socket(path: &std::path::Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !path.exists() {
-        assert!(Instant::now() < deadline, "server never bound {path:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// The grid under chaos, renamed so its cell names (and hence the

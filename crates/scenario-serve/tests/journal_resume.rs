@@ -4,10 +4,12 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::wait_for_socket;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use scenario::{preset, ScenarioSpec};
 use scenario_serve::{
@@ -22,14 +24,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
-}
-
-fn wait_for_socket(path: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !path.exists() {
-        assert!(Instant::now() < deadline, "server never bound {path:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// Starts a fresh single-use server (its own `Service`, shared journal

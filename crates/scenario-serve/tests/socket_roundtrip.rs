@@ -4,9 +4,11 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::wait_for_socket;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use scenario::{preset, record_with, TraceOptions};
 use scenario_serve::{serve_unix, Client, Service, ServiceConfig, SubmitOptions};
@@ -16,14 +18,6 @@ fn socket_path(tag: &str) -> PathBuf {
         "scenario-serve-test-{}-{tag}.sock",
         std::process::id()
     ))
-}
-
-fn wait_for_socket(path: &std::path::Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !path.exists() {
-        assert!(Instant::now() < deadline, "server never bound {path:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 #[test]
