@@ -178,18 +178,18 @@ impl ReplicationPolicy for AppFit {
         }
     }
 
-    /// Epoch fork for sharded simulation: snapshots `(current_fit, i)`
-    /// and runs Eq. 1 against the snapshot plus the fork's own charges.
-    /// Within one node's dispatch sequence this reproduces the
-    /// sequential heuristic exactly; across nodes the view is stale by
-    /// at most one epoch (the engine's documented bounded-staleness
+    /// Window fork for sharded simulation: snapshots `(current_fit, i)`
+    /// and runs Eq. 1 per view against the snapshot plus that view's
+    /// own charges. Within one node's dispatch sequence this reproduces
+    /// the sequential heuristic exactly; across nodes the view is stale
+    /// by at most one window (the engine's documented bounded-staleness
     /// contract — see `cluster-sim`'s shard module).
     fn fork_epoch(&self) -> Box<dyn EpochDecider + '_> {
         let s = self.state.lock();
         Box::new(AppFitEpochFork {
             config: self.config,
-            current_fit: s.current_fit,
-            decided: s.decided,
+            snapshot: (s.current_fit, s.decided),
+            views: Vec::new(),
         })
     }
 
@@ -236,34 +236,57 @@ impl ReplicationPolicy for AppFit {
     }
 }
 
-/// The fork [`AppFit::fork_epoch`] hands to one node for one epoch.
+/// The fork [`AppFit::fork_epoch`] hands to one shard for one window:
+/// the committed `(current_fit, decided)` snapshot and one copy of it
+/// per view, grown on demand and advanced by that view's decisions
+/// only.
 struct AppFitEpochFork {
     config: AppFitConfig,
-    current_fit: f64,
-    decided: u64,
+    snapshot: (f64, u64),
+    views: Vec<(f64, u64)>,
+}
+
+impl AppFitEpochFork {
+    fn view(&mut self, view: usize) -> &mut (f64, u64) {
+        if view >= self.views.len() {
+            self.views.resize(view + 1, self.snapshot);
+        }
+        &mut self.views[view]
+    }
 }
 
 impl EpochDecider for AppFitEpochFork {
     fn decide(&mut self, ctx: &DecisionCtx) -> bool {
+        self.decide_at(0, ctx)
+    }
+
+    fn on_replica_failed(&mut self, ctx: &DecisionCtx) {
+        self.on_replica_failed_at(0, ctx);
+    }
+
+    fn decide_at(&mut self, view: usize, ctx: &DecisionCtx) -> bool {
+        let config = self.config;
+        let (current_fit, decided) = self.view(view);
         let lambda = ctx.rates.total().value();
-        let replicate = eq1_replicate(&self.config, self.current_fit, self.decided, lambda);
-        self.decided += 1;
+        let replicate = eq1_replicate(&config, *current_fit, *decided, lambda);
+        *decided += 1;
         // Charge locally regardless of discipline: in virtual time the
         // sequential engine charges between this decision and the next
         // for both `ChargeOn` variants.
-        self.current_fit += if replicate {
-            lambda * self.config.residual_factor
+        *current_fit += if replicate {
+            lambda * config.residual_factor
         } else {
             lambda
         };
         replicate
     }
 
-    fn on_replica_failed(&mut self, ctx: &DecisionCtx) {
+    fn on_replica_failed_at(&mut self, view: usize, ctx: &DecisionCtx) {
         // Mirror the commit-time charge-back on the local view so later
         // in-window decisions on this node see the exposed rate — the
         // sequential engine's inline charge does the same.
-        self.current_fit += ctx.rates.total().value() * (1.0 - self.config.residual_factor);
+        let residual = self.config.residual_factor;
+        self.view(view).0 += ctx.rates.total().value() * (1.0 - residual);
     }
 }
 

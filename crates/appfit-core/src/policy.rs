@@ -30,11 +30,13 @@ pub trait ReplicationPolicy: Send + Sync {
         let _ = (ctx, replicated);
     }
 
-    /// Forks a decision view for one *synchronization window* of
+    /// Forks the decision views of one *synchronization window* of
     /// windowed simulation (`cluster-sim`'s sharded engine — a fixed
     /// epoch or a variable lookahead horizon — and its sequential
-    /// lookahead reference). The fork sees this policy's global state
-    /// frozen as of the fork plus whatever it accumulates locally; the
+    /// lookahead reference): one fork per shard per window, one view
+    /// per node inside it ([`EpochDecider`]). Each view sees this
+    /// policy's global state frozen as of the fork plus whatever that
+    /// view accumulates locally; the
     /// definitive state update happens later through
     /// [`ReplicationPolicy::commit_epoch`] with the window's decisions
     /// in canonical order. Stateless policies (the default) just pass
@@ -103,24 +105,46 @@ pub struct EpochDecision {
     pub replica_lagged: bool,
 }
 
-/// A node-local decision view for one epoch of sharded simulation.
+/// The decision views of one synchronization window of windowed
+/// simulation.
 ///
 /// Created by [`ReplicationPolicy::fork_epoch`]; lives on one shard
-/// thread for one synchronization window, then is dropped (its local
-/// accumulation is scratch — [`ReplicationPolicy::commit_epoch`]
-/// performs the definitive update).
+/// thread for one window, then is dropped (its local accumulation is
+/// scratch — [`ReplicationPolicy::commit_epoch`] performs the
+/// definitive update). One fork serves every node of its shard: each
+/// node decides through its own **view** — the state frozen at the
+/// fork plus that node's in-window charges only — addressed by a dense
+/// index the engine picks (the node's rank in its shard). Views never
+/// see each other, so which nodes share a fork (the shard layout)
+/// cannot influence a decision.
 pub trait EpochDecider {
-    /// Decides one task against the frozen-plus-local view.
+    /// Decides one task against view 0.
     fn decide(&mut self, ctx: &DecisionCtx) -> bool;
 
-    /// Heartbeat detection abandoned the replica of a task this fork
+    /// Heartbeat detection abandoned the replica of a task view 0
     /// decided to replicate. Stateful forks mirror the charge-back on
-    /// their local view so later in-window decisions see it (the
-    /// definitive global charge still happens at commit, through
+    /// the view so later in-window decisions see it (the definitive
+    /// global charge still happens at commit, through
     /// [`EpochDecision::replica_lagged`]). The default is a no-op,
     /// matching stateless policies.
     fn on_replica_failed(&mut self, ctx: &DecisionCtx) {
         let _ = ctx;
+    }
+
+    /// [`EpochDecider::decide`] against view `view`. The default
+    /// ignores the index, which is right for stateless forks only (the
+    /// caveat [`ReplicationPolicy::fork_epoch`]'s default carries): a
+    /// fork that accumulates must keep one accumulation per view.
+    fn decide_at(&mut self, view: usize, ctx: &DecisionCtx) -> bool {
+        let _ = view;
+        self.decide(ctx)
+    }
+
+    /// [`EpochDecider::on_replica_failed`] for view `view`; same
+    /// default and caveat as [`EpochDecider::decide_at`].
+    fn on_replica_failed_at(&mut self, view: usize, ctx: &DecisionCtx) {
+        let _ = view;
+        self.on_replica_failed(ctx);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use appfit_core::{
     evaluate_policy, oracle_dp, oracle_greedy, AppFit, AppFitConfig, ChargeOn, DecisionCtx,
-    ReplicationPolicy, TaskSample,
+    EpochDecision, ReplicationPolicy, TaskSample,
 };
 use fit_model::{Fit, TaskRates};
 use proptest::prelude::*;
@@ -149,5 +149,53 @@ proptest! {
             <= sum.total_fit * 1e-12 + 1e-9);
         prop_assert!(sum.task_fraction >= 0.0 && sum.task_fraction <= 1.0);
         prop_assert!(sum.time_fraction >= 0.0 && sum.time_fraction <= 1.0);
+    }
+
+    /// One fork serving `k` views decides bit for bit like `k`
+    /// independent forks each fed its view's subsequence — views share
+    /// the committed snapshot and nothing else — and the index-free
+    /// `decide` / `on_replica_failed` are view 0.
+    #[test]
+    fn fork_views_equal_independent_forks(
+        committed in proptest::collection::vec((0.0f64..100.0, proptest::bool::ANY), 0..20),
+        stream in proptest::collection::vec((0usize..5, 0.0f64..100.0, proptest::bool::ANY), 1..200),
+        threshold in 0.0f64..2000.0,
+        residual in 0.0f64..1.0,
+    ) {
+        let config = AppFitConfig {
+            residual_factor: residual,
+            ..AppFitConfig::new(Fit::new(threshold), (committed.len() + stream.len()) as u64)
+        };
+        let h = AppFit::new(config);
+        // A non-trivial snapshot for every fork to start from.
+        let prior: Vec<EpochDecision> = committed
+            .iter()
+            .enumerate()
+            .map(|(i, &(lam, replicate))| EpochDecision {
+                ctx: ctx(i as u64, lam),
+                replicate,
+                replica_lagged: false,
+            })
+            .collect();
+        h.commit_epoch(&prior);
+
+        let mut shared = h.fork_epoch();
+        let mut independent: Vec<_> = (0..5).map(|_| h.fork_epoch()).collect();
+        let mut plain = h.fork_epoch();
+        for (i, &(view, lam, lagged)) in stream.iter().enumerate() {
+            let c = ctx(i as u64, lam);
+            let got = shared.decide_at(view, &c);
+            prop_assert_eq!(got, independent[view].decide_at(0, &c), "op {} view {}", i, view);
+            if view == 0 {
+                prop_assert_eq!(got, plain.decide(&c), "op {}: decide is view 0", i);
+            }
+            if got && lagged {
+                shared.on_replica_failed_at(view, &c);
+                independent[view].on_replica_failed_at(0, &c);
+                if view == 0 {
+                    plain.on_replica_failed(&c);
+                }
+            }
+        }
     }
 }

@@ -1,17 +1,14 @@
-//! Batched event storage and the packed event key for both engines.
+//! The packed event key for both engines, and batched storage for the
+//! sharded engine's cross-node traffic.
 //!
-//! The sharded engine ([`crate::shard`]) keeps only the *current*
-//! window's events in an ordered heap; everything scheduled further out
-//! sits in per-epoch **batches** stored struct-of-arrays (times and task
-//! ids in separate vectors). Batches are append-only during a window and
-//! sorted once when their epoch opens, which replaces millions of
-//! per-event heap rebalances with one cache-friendly sort per epoch —
-//! the "batching" leg of the sharding/batching/async roadmap item.
-//!
-//! Heap entries themselves are [`EventKey`]s: the former
-//! `(Time, u64, u32)` tuple packed into two ordered machine words, so a
-//! heap rebalance moves 16 bytes and compares integers instead of
-//! moving 24 bytes and calling `f64::total_cmp`.
+//! Heap entries are [`EventKey`]s: a `(Time, u64, u32)` tuple packed
+//! into two ordered machine words, so a heap rebalance moves 16 bytes
+//! and compares integers instead of moving 24 bytes and calling
+//! `f64::total_cmp`. The sharded engine ([`crate::shard`]) keeps every
+//! pending completion and control of a shard in one such heap; what
+//! crosses nodes travels in struct-of-arrays [`EventBatch`]es (times
+//! and task ids in separate vectors), sorted once per window, and waits
+//! in a [`DeliveryCalendar`].
 
 /// A simulation event packed into one `u128` whose integer order is
 /// the engines' canonical event order.
@@ -178,28 +175,11 @@ pub fn time_from_bits(k: u64) -> f64 {
     f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
-/// Calendar bucket index for the lookahead engine: the high bits of
-/// [`time_to_bits`]. Unlike a `floor(time / width)` grid this is
-/// **exactly** monotone in time (no float-division slop), so an event
-/// strictly before a horizon provably lives in a bucket no later than
-/// the horizon's — the property [`EpochCalendar::take_before`] and
-/// [`EpochCalendar::min_time`] need. Bucket widths are relative
-/// (≈ time / 2¹⁰ within a binade), which keeps the bucket count
-/// bounded at any time scale. The width is a pure throughput knob
-/// (any monotone bucketing is correct): finer buckets shrink the
-/// straddling-bucket split each window but multiply bucket-map
-/// traffic on the per-completion push path — at 2¹⁴ the bucket churn
-/// measurably dominated the lookahead profile.
-#[inline]
-pub fn time_bucket(t: f64) -> u64 {
-    time_to_bits(t) >> 42
-}
-
-/// Reusable scratch for [`EventBatch::sort_stable_by_time`] and
-/// [`EventBatch::sort_canonical`]: the permutation index plus the
-/// double buffers the permutation is applied through. Owning one per
-/// shard (and one for the barrier merge) means epoch opens allocate
-/// nothing once the buffers have grown to the high-water mark.
+/// Reusable scratch for [`EventBatch::sort_canonical`]: the permutation
+/// index plus the double buffers the permutation is applied through.
+/// Owning one per shard (and one for the barrier merge) means window
+/// opens allocate nothing once the buffers have grown to the
+/// high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct SortScratch {
     order: Vec<u32>,
@@ -278,24 +258,6 @@ impl EventBatch {
         self.tasks.extend_from_slice(&other.tasks);
     }
 
-    /// Stable-sorts the batch by time only: simultaneous events keep
-    /// their insertion order, which is how the sequential engine breaks
-    /// ties (heap insertion sequence). `scratch` is caller-owned and
-    /// reused across calls.
-    pub fn sort_stable_by_time(&mut self, scratch: &mut SortScratch) {
-        if self.is_sorted_by_time() {
-            return;
-        }
-        scratch.order.clear();
-        scratch.order.extend(0..self.len() as u32);
-        scratch.order.sort_by(|&a, &b| {
-            self.times[a as usize]
-                .total_cmp(&self.times[b as usize])
-                .then(a.cmp(&b)) // stability, explicitly
-        });
-        self.apply_permutation(scratch);
-    }
-
     /// Sorts the batch by `(time, task id)` — the canonical order for
     /// cross-shard deliveries, which must not depend on which shard
     /// (hence which buffer position) a message came from. `scratch` is
@@ -340,10 +302,6 @@ impl EventBatch {
         }
     }
 
-    fn is_sorted_by_time(&self) -> bool {
-        self.times.windows(2).all(|w| w[0] <= w[1])
-    }
-
     /// Applies `scratch.order` by gathering into the scratch buffers,
     /// then swaps storage with them — the retired buffers become next
     /// call's scratch, so steady state allocates nothing.
@@ -358,165 +316,6 @@ impl EventBatch {
             .extend(scratch.order.iter().map(|&i| self.tasks[i as usize]));
         std::mem::swap(&mut self.times, &mut scratch.times);
         std::mem::swap(&mut self.tasks, &mut scratch.tasks);
-    }
-}
-
-/// Future events bucketed by epoch index, struct-of-arrays per bucket.
-///
-/// Buckets live in a `Vec` sorted by index, not a tree: the live set is
-/// small (a handful of open epochs, or the pending-horizon span divided
-/// by the [`time_bucket`] width in lookahead mode), and the push path is
-/// the engines' per-completion hot path — consecutive completions land
-/// in the same or a nearby bucket, so the `hint` of the last bucket
-/// touched usually answers without even a binary search. A `BTreeMap`
-/// here costs a pointer-chasing descent plus a node allocation per new
-/// bucket on every one of millions of pushes.
-///
-/// Drained batches can be handed back via [`EpochCalendar::recycle`];
-/// their buffers are reused for new buckets instead of reallocating
-/// every epoch.
-#[derive(Debug, Clone, Default)]
-pub struct EpochCalendar {
-    /// `(bucket index, events)`, ascending by index.
-    buckets: Vec<(u64, EventBatch)>,
-    /// Position of the last bucket pushed into — a pure accelerator
-    /// (stale values are detected by key comparison, never trusted).
-    hint: usize,
-    spare: Vec<EventBatch>,
-}
-
-impl EpochCalendar {
-    /// An empty calendar.
-    pub fn new() -> Self {
-        EpochCalendar::default()
-    }
-
-    /// Buffers an event for the epoch containing `time`.
-    #[inline]
-    pub fn push(&mut self, epoch: u64, time: f64, task: u32) {
-        if let Some((k, batch)) = self.buckets.get_mut(self.hint) {
-            if *k == epoch {
-                batch.push(time, task);
-                return;
-            }
-        }
-        match self.buckets.binary_search_by_key(&epoch, |&(k, _)| k) {
-            Ok(i) => {
-                self.buckets[i].1.push(time, task);
-                self.hint = i;
-            }
-            Err(i) => {
-                let mut batch = self.spare.pop().unwrap_or_default();
-                batch.clear();
-                batch.push(time, task);
-                self.buckets.insert(i, (epoch, batch));
-                self.hint = i;
-            }
-        }
-    }
-
-    /// Takes the batch for `epoch`, if any.
-    pub fn take(&mut self, epoch: u64) -> Option<EventBatch> {
-        match self.buckets.binary_search_by_key(&epoch, |&(k, _)| k) {
-            Ok(i) => Some(self.buckets.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
-    /// Drains every event with `time < horizon` into `out`, visiting
-    /// buckets in ascending index order and preserving each bucket's
-    /// insertion order — the lookahead engine's horizon-bounded batch
-    /// extraction, where windows are not bucket-aligned.
-    ///
-    /// `horizon_bucket` must be the bucket index of `horizon` under the
-    /// same monotone bucketing the events were pushed with (the engine
-    /// uses [`time_bucket`], which is exactly monotone): buckets past
-    /// it provably hold no event before the horizon, and a bucket *at*
-    /// it may straddle the horizon and is split, keeping later events
-    /// buffered.
-    pub fn take_before(&mut self, horizon: f64, horizon_bucket: u64, out: &mut EventBatch) {
-        // Buckets are sorted ascending, so everything extractable is a
-        // prefix; `drained` counts whole buckets consumed off the front.
-        let mut drained = 0;
-        while let Some(&mut (bucket, ref mut batch)) = self.buckets.get_mut(drained) {
-            if bucket > horizon_bucket || batch.min_time >= horizon {
-                // Past the horizon bucket, or an in-range bucket living
-                // entirely at/after the horizon (only the straddling
-                // bucket can look like that): keep it buffered.
-                break;
-            }
-            let keeps_any = batch.times.iter().any(|&t| t >= horizon);
-            if !keeps_any {
-                out.extend_from(batch);
-                batch.clear();
-                drained += 1;
-                continue;
-            }
-            // Straddling bucket: split, preserving insertion order on
-            // both sides. Under monotone bucketing a kept event
-            // (time ≥ horizon) can only live in the horizon's own
-            // bucket — the largest in range — so nothing below the
-            // horizon remains and the scan is done.
-            let mut keep = self.spare.pop().unwrap_or_default();
-            keep.clear();
-            for (t, task) in batch.iter() {
-                if t < horizon {
-                    out.push(t, task);
-                } else {
-                    keep.push(t, task);
-                }
-            }
-            std::mem::swap(batch, &mut keep);
-            keep.clear();
-            self.spare.push(keep);
-            break;
-        }
-        for (_, empty) in self.buckets.drain(..drained) {
-            self.spare.push(empty);
-        }
-    }
-
-    /// The earliest buffered timestamp across all buckets (`+∞` when
-    /// empty). Exact when bucket indices are monotone in time (the
-    /// lookahead engine's [`time_bucket`] scheme): the first bucket
-    /// then holds the global minimum.
-    pub fn min_time(&self) -> f64 {
-        self.buckets
-            .first()
-            .map_or(f64::INFINITY, |(_, b)| b.min_time())
-    }
-
-    /// Returns a drained batch's buffers to the recycling pool.
-    pub fn recycle(&mut self, batch: EventBatch) {
-        self.spare.push(batch);
-    }
-
-    /// Mixes every bucket (index plus contents, in ascending bucket
-    /// order) into the running fingerprint `h` — part of the sharded
-    /// engine's model-checking state hash. The recycling pool is
-    /// capacity-only state and is excluded.
-    pub(crate) fn fold_hash(&self, h: &mut u64) {
-        use crate::sched::fnv_step;
-        fnv_step(h, self.buckets.len() as u64);
-        for (bucket, batch) in &self.buckets {
-            fnv_step(h, *bucket);
-            batch.fold_hash(h);
-        }
-    }
-
-    /// Earliest epoch with buffered events.
-    pub fn min_epoch(&self) -> Option<u64> {
-        self.buckets.first().map(|&(k, _)| k)
-    }
-
-    /// Total buffered events across all epochs.
-    pub fn len(&self) -> usize {
-        self.buckets.iter().map(|(_, b)| b.len()).sum()
-    }
-
-    /// `true` if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
     }
 }
 
@@ -677,18 +476,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stable_time_sort_preserves_insertion_ties() {
-        let mut b = EventBatch::new();
-        let mut scratch = SortScratch::default();
-        b.push(2.0, 9);
-        b.push(1.0, 5);
-        b.push(1.0, 3); // same time as task 5, inserted later
-        b.sort_stable_by_time(&mut scratch);
-        let got: Vec<_> = b.iter().collect();
-        assert_eq!(got, vec![(1.0, 5), (1.0, 3), (2.0, 9)]);
-    }
-
-    #[test]
     fn canonical_sort_breaks_ties_by_task() {
         let mut b = EventBatch::new();
         let mut scratch = SortScratch::default();
@@ -711,25 +498,6 @@ mod tests {
             let times: Vec<f64> = b.iter().map(|(t, _)| t).collect();
             assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted for n={n}");
         }
-    }
-
-    #[test]
-    fn calendar_buckets_by_epoch() {
-        let mut c = EpochCalendar::new();
-        c.push(3, 3.5, 1);
-        c.push(1, 1.5, 2);
-        c.push(3, 3.2, 3);
-        assert_eq!(c.min_epoch(), Some(1));
-        assert_eq!(c.len(), 3);
-        let b = c.take(3).unwrap();
-        assert_eq!(b.len(), 2);
-        assert_eq!(c.min_epoch(), Some(1));
-        assert!(c.take(3).is_none());
-        c.recycle(b);
-        // The recycled buffer backs the next fresh bucket, starting
-        // empty regardless of its previous contents.
-        c.push(9, 9.5, 4);
-        assert_eq!(c.take(9).unwrap().len(), 1);
     }
 
     #[test]
@@ -901,19 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn time_bucket_is_exactly_monotone() {
-        let samples = [0.0, 1e-9, 0.1, 0.1000001, 1.0, 1.5, 2.0, 1e6, 1e12];
-        for w in samples.windows(2) {
-            assert!(
-                time_bucket(w[0]) <= time_bucket(w[1]),
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
-        }
-    }
-
-    #[test]
     fn batch_tracks_min_time() {
         let mut b = EventBatch::new();
         assert_eq!(b.min_time(), f64::INFINITY);
@@ -927,52 +682,6 @@ mod tests {
         assert_eq!(b.min_time(), 0.5);
         b.clear();
         assert_eq!(b.min_time(), f64::INFINITY);
-    }
-
-    #[test]
-    fn take_before_splits_straddling_buckets() {
-        let mut c = EpochCalendar::new();
-        for &(t, task) in &[(1.0f64, 1u32), (2.5, 2), (2.0, 3), (4.0, 4), (2.25, 5)] {
-            c.push(time_bucket(t), t, task);
-        }
-        let mut out = EventBatch::new();
-        let horizon = 2.25;
-        c.take_before(horizon, time_bucket(horizon), &mut out);
-        let drained: Vec<_> = out.iter().collect();
-        // Everything strictly before 2.25, ascending buckets with
-        // per-bucket insertion order preserved.
-        assert_eq!(drained, vec![(1.0, 1), (2.0, 3)]);
-        // The rest stays buffered with an exact minimum.
-        assert_eq!(c.min_time(), 2.25);
-        assert_eq!(c.len(), 3);
-        // A later horizon drains the remainder, preserving insertion
-        // order of the previously split bucket.
-        let mut rest = EventBatch::new();
-        c.take_before(5.0, time_bucket(5.0), &mut rest);
-        let rest: Vec<_> = rest.iter().collect();
-        assert_eq!(rest, vec![(2.25, 5), (2.5, 2), (4.0, 4)]);
-        assert!(c.is_empty());
-        assert_eq!(c.min_time(), f64::INFINITY);
-    }
-
-    #[test]
-    fn take_before_keeps_event_at_exactly_the_horizon() {
-        // The drain is strict (`time < horizon`): an event at exactly
-        // the horizon — even as the *only* event, in the horizon's own
-        // bucket — must stay buffered, not drain and not vanish.
-        let horizon = 3.5;
-        let mut c = EpochCalendar::new();
-        c.push(time_bucket(horizon), horizon, 42);
-        let mut out = EventBatch::new();
-        c.take_before(horizon, time_bucket(horizon), &mut out);
-        assert!(out.is_empty(), "t == horizon must not drain");
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.min_time(), horizon);
-        // The very next representable horizon drains it exactly once.
-        let next = horizon.next_up();
-        c.take_before(next, time_bucket(next), &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![(horizon, 42)]);
-        assert!(c.is_empty());
     }
 
     #[test]

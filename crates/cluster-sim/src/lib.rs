@@ -10,8 +10,8 @@
 //!   event heap, event-exact everywhere, the simplest thing that can be
 //!   trusted;
 //! * [`simulate_sharded`] — the **sharded parallel engine**: machines
-//!   partitioned into shards with local event heaps and
-//!   struct-of-arrays calendars ([`events`]), synchronized either at
+//!   partitioned into shards, each with one event heap carried across
+//!   windows ([`events`]), synchronized either at
 //!   fixed **epoch barriers** or through **conservative-lookahead**
 //!   windows ([`SyncMode`]) — null-message horizon exchange with
 //!   cross-node activations delayed by exactly the interconnect's

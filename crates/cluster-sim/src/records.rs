@@ -1,100 +1,72 @@
-//! Struct-of-arrays storage for in-flight simulation records.
+//! Row storage for in-flight simulation records.
 //!
-//! The engines used to accumulate results in a
-//! `Vec<Option<SimTaskRecord>>` — 72 bytes per task (64-byte record
-//! plus discriminant padding) written field-by-field across the whole
-//! struct. [`RecordStore`] keeps the same data in parallel columns:
-//! one `u32`/`f64` vector per numeric field and one packed bitset per
-//! boolean field, about 29 bytes per task. The per-task `Option` is a
-//! single bit in the `filled` set, and whole-column reductions (the
-//! sharded engine's makespan fold) scan one dense `f64` array instead
-//! of striding through records. At the simulation boundary the store
-//! converts back to [`SimTaskRecord`]s, so [`crate::SimReport`] — and
-//! its serde output — is unchanged.
+//! The engines accumulate results in a [`RecordStore`]: one 32-byte
+//! `Row` per task — the three `f64` times, the node and a flag byte
+//! holding the seven booleans plus the per-task `Option` (the `FILLED`
+//! bit) — against 72 bytes for a `Vec<Option<SimTaskRecord>>`. Rows,
+//! not columns, because the engines visit tasks in global time order:
+//! consecutive writes land ~14 k tasks apart, so a dispatch touches as
+//! many cold cache lines as the store has arrays — one here, twelve
+//! under the former struct-of-arrays layout (ARCHITECTURE "Row
+//! records" has the measurement). At the simulation boundary
+//! the store converts back to [`SimTaskRecord`]s, so
+//! [`crate::SimReport`] — and its serde output — is unchanged.
 
 use crate::report::SimTaskRecord;
 
-/// A packed bitset sized at construction.
-#[derive(Debug, Clone)]
-struct Bits(Vec<u64>);
+const FILLED: u8 = 1;
+const REPLICATED: u8 = 1 << 1;
+const REPLICA_LAGGED: u8 = 1 << 2;
+const SDC_DETECTED: u8 = 1 << 3;
+const DUE_RECOVERED: u8 = 1 << 4;
+const UNCOVERED_SDC: u8 = 1 << 5;
+const UNCOVERED_DUE: u8 = 1 << 6;
+const IS_BARRIER: u8 = 1 << 7;
 
-impl Bits {
-    fn new(len: usize) -> Self {
-        Bits(vec![0; len.div_ceil(64)])
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        self.0[i >> 6] & (1 << (i & 63)) != 0
-    }
-
-    #[inline]
-    fn assign(&mut self, i: usize, v: bool) {
-        let (w, m) = (i >> 6, 1u64 << (i & 63));
-        if v {
-            self.0[w] |= m;
-        } else {
-            self.0[w] &= !m;
-        }
-    }
+/// One task's record, minus the task id (see [`RecordStore`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    dispatched: f64,
+    completed: f64,
+    base_secs: f64,
+    node: u32,
+    flags: u8,
 }
 
-/// Column-major storage for one engine's (or one shard's) task
-/// records, indexed by a caller-chosen dense slot (the task id in the
-/// sequential engine, the shard-local index in the sharded engine).
+/// One engine's (or one shard's) task records, indexed by a
+/// caller-chosen dense slot (the task id in the sequential engine, the
+/// shard-local index in the sharded engine).
 ///
 /// The `task` field of [`SimTaskRecord`] is *not* stored: the
 /// slot→task mapping is the caller's, and is supplied back to
 /// [`RecordStore::get`] at conversion time.
 #[derive(Debug, Clone)]
 pub struct RecordStore {
-    node: Vec<u32>,
-    dispatched: Vec<f64>,
-    completed: Vec<f64>,
-    base_secs: Vec<f64>,
-    replicated: Bits,
-    replica_lagged: Bits,
-    sdc_detected: Bits,
-    due_recovered: Bits,
-    uncovered_sdc: Bits,
-    uncovered_due: Bits,
-    is_barrier: Bits,
-    filled: Bits,
+    rows: Vec<Row>,
 }
 
 impl RecordStore {
     /// An empty store with `len` slots.
     pub fn new(len: usize) -> Self {
         RecordStore {
-            node: vec![0; len],
-            dispatched: vec![0.0; len],
-            completed: vec![0.0; len],
-            base_secs: vec![0.0; len],
-            replicated: Bits::new(len),
-            replica_lagged: Bits::new(len),
-            sdc_detected: Bits::new(len),
-            due_recovered: Bits::new(len),
-            uncovered_sdc: Bits::new(len),
-            uncovered_due: Bits::new(len),
-            is_barrier: Bits::new(len),
-            filled: Bits::new(len),
+            rows: vec![Row::default(); len],
         }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.node.len()
+        self.rows.len()
     }
 
     /// `true` if the store has no slots.
     pub fn is_empty(&self) -> bool {
-        self.node.is_empty()
+        self.rows.is_empty()
     }
 
     /// Whether `slot` has been written.
     #[inline]
     pub fn is_set(&self, slot: usize) -> bool {
-        self.filled.get(slot)
+        self.rows[slot].flags & FILLED != 0
     }
 
     /// Stores `rec` in `slot` (every field except `rec.task`, whose
@@ -103,19 +75,22 @@ impl RecordStore {
     /// `RecordStore::reset` first.
     #[inline]
     pub fn set(&mut self, slot: usize, rec: &SimTaskRecord) {
-        debug_assert!(!self.filled.get(slot), "slot {slot} written twice");
-        self.node[slot] = rec.node;
-        self.dispatched[slot] = rec.dispatched;
-        self.completed[slot] = rec.completed;
-        self.base_secs[slot] = rec.base_secs;
-        self.replicated.assign(slot, rec.replicated);
-        self.replica_lagged.assign(slot, rec.replica_lagged);
-        self.sdc_detected.assign(slot, rec.sdc_detected);
-        self.due_recovered.assign(slot, rec.due_recovered);
-        self.uncovered_sdc.assign(slot, rec.uncovered_sdc);
-        self.uncovered_due.assign(slot, rec.uncovered_due);
-        self.is_barrier.assign(slot, rec.is_barrier);
-        self.filled.assign(slot, true);
+        debug_assert!(!self.is_set(slot), "slot {slot} written twice");
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        self.rows[slot] = Row {
+            dispatched: rec.dispatched,
+            completed: rec.completed,
+            base_secs: rec.base_secs,
+            node: rec.node,
+            flags: FILLED
+                | flag(rec.replicated, REPLICATED)
+                | flag(rec.replica_lagged, REPLICA_LAGGED)
+                | flag(rec.sdc_detected, SDC_DETECTED)
+                | flag(rec.due_recovered, DUE_RECOVERED)
+                | flag(rec.uncovered_sdc, UNCOVERED_SDC)
+                | flag(rec.uncovered_due, UNCOVERED_DUE)
+                | flag(rec.is_barrier, IS_BARRIER),
+        };
     }
 
     /// Reassembles the record in `slot` as task `task`.
@@ -127,20 +102,21 @@ impl RecordStore {
     /// record.
     #[inline]
     pub fn get(&self, slot: usize, task: u32) -> SimTaskRecord {
-        assert!(self.filled.get(slot), "task {task} was never simulated");
+        let row = self.rows[slot];
+        assert!(row.flags & FILLED != 0, "task {task} was never simulated");
         SimTaskRecord {
             task,
-            node: self.node[slot],
-            dispatched: self.dispatched[slot],
-            completed: self.completed[slot],
-            base_secs: self.base_secs[slot],
-            replicated: self.replicated.get(slot),
-            replica_lagged: self.replica_lagged.get(slot),
-            sdc_detected: self.sdc_detected.get(slot),
-            due_recovered: self.due_recovered.get(slot),
-            uncovered_sdc: self.uncovered_sdc.get(slot),
-            uncovered_due: self.uncovered_due.get(slot),
-            is_barrier: self.is_barrier.get(slot),
+            node: row.node,
+            dispatched: row.dispatched,
+            completed: row.completed,
+            base_secs: row.base_secs,
+            replicated: row.flags & REPLICATED != 0,
+            replica_lagged: row.flags & REPLICA_LAGGED != 0,
+            sdc_detected: row.flags & SDC_DETECTED != 0,
+            due_recovered: row.flags & DUE_RECOVERED != 0,
+            uncovered_sdc: row.flags & UNCOVERED_SDC != 0,
+            uncovered_due: row.flags & UNCOVERED_DUE != 0,
+            is_barrier: row.flags & IS_BARRIER != 0,
         }
     }
 
@@ -149,61 +125,39 @@ impl RecordStore {
     /// [`RecordStore::reset`] for re-dispatch.
     #[inline]
     pub(crate) fn replicated_of(&self, slot: usize) -> bool {
-        debug_assert!(self.filled.get(slot), "slot {slot} not filled");
-        self.replicated.get(slot)
+        debug_assert!(self.is_set(slot), "slot {slot} not filled");
+        self.rows[slot].flags & REPLICATED != 0
     }
 
     /// Clears `slot` so a crash-lost in-flight task can be re-dispatched
-    /// and re-recorded. Only the `filled` bit matters for correctness
-    /// (the re-dispatch overwrites every column), but it is the bit
+    /// and re-recorded. Only the `FILLED` bit matters for correctness
+    /// (the re-dispatch overwrites the whole row), but it is the bit
     /// [`RecordStore::set`]'s write-once debug assertion checks.
     #[inline]
     pub(crate) fn reset(&mut self, slot: usize) {
-        debug_assert!(self.filled.get(slot), "slot {slot} reset while empty");
-        self.filled.assign(slot, false);
+        debug_assert!(self.is_set(slot), "slot {slot} reset while empty");
+        self.rows[slot].flags &= !FILLED;
     }
 
-    /// Mixes every column (numeric vectors bitwise, bitsets word-wise)
-    /// into the running fingerprint `h` — part of the sharded engine's
-    /// model-checking state hash.
+    /// Mixes every row (times bitwise) into the running fingerprint `h`
+    /// — part of the sharded engine's model-checking state hash.
     pub(crate) fn fold_hash(&self, h: &mut u64) {
         use crate::sched::fnv_step;
-        for &x in &self.node {
-            fnv_step(h, u64::from(x));
-        }
-        for &x in &self.dispatched {
-            fnv_step(h, x.to_bits());
-        }
-        for &x in &self.completed {
-            fnv_step(h, x.to_bits());
-        }
-        for &x in &self.base_secs {
-            fnv_step(h, x.to_bits());
-        }
-        for bits in [
-            &self.replicated,
-            &self.replica_lagged,
-            &self.sdc_detected,
-            &self.due_recovered,
-            &self.uncovered_sdc,
-            &self.uncovered_due,
-            &self.is_barrier,
-            &self.filled,
-        ] {
-            for &w in &bits.0 {
-                fnv_step(h, w);
-            }
+        for row in &self.rows {
+            fnv_step(h, row.dispatched.to_bits());
+            fnv_step(h, row.completed.to_bits());
+            fnv_step(h, row.base_secs.to_bits());
+            fnv_step(h, u64::from(row.node) << 8 | u64::from(row.flags));
         }
     }
 
     /// Maximum completion time across all filled slots (0.0 when none
-    /// are filled) — one dense column scan, used for the makespan fold.
+    /// are filled) — used for the makespan fold.
     pub fn max_completed(&self) -> f64 {
-        self.completed
+        self.rows
             .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.filled.get(i))
-            .map(|(_, &c)| c)
+            .filter(|row| row.flags & FILLED != 0)
+            .map(|row| row.completed)
             .fold(0.0f64, f64::max)
     }
 }

@@ -1,9 +1,12 @@
 //! The sharded, parallel simulation engine.
 //!
 //! [`simulate_sharded`] partitions the cluster's nodes into **shards**,
-//! each with its own event heap, epoch calendar and scheduling state,
-//! and advances all shards in lock step through windows of virtual
-//! time. Within a window a shard touches only its own nodes;
+//! each with its own scheduling state and one event heap holding every
+//! pending completion and node-control event, and advances all shards
+//! in lock step through windows of virtual time: a window pops the
+//! heap while its top lies before the window end and carries the rest
+//! to the next window. Within a window a shard touches only its own
+//! nodes;
 //! everything that crosses a node boundary — dependency activations
 //! and global App_FIT accounting — is buffered and exchanged at the
 //! **barrier** in a canonical order, so the result is a pure function
@@ -52,7 +55,8 @@
 //! * **Global accounting** ([`appfit_core::AppFit`]) is *epoch
 //!   consistent*: each node decides one window against the global
 //!   state frozen at the last barrier plus its own in-window charges
-//!   ([`appfit_core::ReplicationPolicy::fork_epoch`]), and all
+//!   (its view in the shard's window fork,
+//!   [`appfit_core::ReplicationPolicy::fork_epoch`]), and all
 //!   decisions merge at the barrier in canonical `(dispatch time,
 //!   node, within-node order)`
 //!   ([`appfit_core::ReplicationPolicy::commit_epoch`]).
@@ -60,10 +64,11 @@
 //!   order-independent, so forks opened next window see identical
 //!   state regardless of sharding.
 //!
-//! Tie-breaking is deterministic end to end: in-window events order by
-//! `(time, insertion sequence)` exactly like the sequential engine;
-//! calendar batches re-enter stably by time (preserving dispatch
-//! order); barrier deliveries sort by `(time, task id)`, and in
+//! Tie-breaking is deterministic end to end: completions order by
+//! `(time, dispatch sequence)` exactly like the sequential engine —
+//! the sequence number is assigned at dispatch, so an event carried
+//! from an earlier window precedes a simultaneous one dispatched in
+//! this window; barrier deliveries sort by `(time, task id)`, and in
 //! lookahead mode simultaneous delivery events additionally order
 //! *after* all completions at the same timestamp, by consumer task id
 //! ([`EventKey::delivery`]) — canonical orders no layout can perturb.
@@ -84,9 +89,7 @@ use std::sync::mpsc;
 use appfit_core::{EpochDecider, EpochDecision};
 
 use crate::cost::PreparedCost;
-use crate::events::{
-    ControlKind, DeliveryCalendar, EpochCalendar, EventBatch, EventKey, SortScratch,
-};
+use crate::events::{ControlKind, DeliveryCalendar, EventBatch, EventKey, SortScratch};
 use crate::graph::{SimGraph, SimTask};
 use crate::machine::ShardMap;
 use crate::ready::ReadyList;
@@ -410,22 +413,21 @@ struct ShardState {
     ready: ReadyList,
     /// Remaining predecessor count per owned task (local index).
     indegree: Vec<u32>,
-    /// Completed-task records, struct-of-arrays (local index).
+    /// Completed-task records (local index).
     records: RecordStore,
-    /// Current-window completion events, packed `(time, seq, task)`.
+    /// Every pending completion `(time, seq, task)` and node control
+    /// `(time, kind, node)` of this shard, packed. A window pops the
+    /// events before its end; the rest stay for later windows.
     heap: BinaryHeap<Reverse<EventKey>>,
-    /// Tie-break sequence for the heap.
+    /// Tie-break sequence for the heap, assigned at dispatch.
     seq: u32,
-    /// Future-window completion events, batched per epoch (epoch mode)
-    /// or per [`crate::events::time_bucket`] (lookahead mode).
-    calendar: EpochCalendar,
     /// Lookahead mode: pending delayed cross-node activations at exact
     /// effect times — one canonically sorted run per barrier handoff,
     /// drained by horizon at window open (see [`DeliveryCalendar`]).
     delcal: DeliveryCalendar,
-    /// Lookahead mode: scratch batch for horizon-bounded extraction
-    /// (and, between window open and close, the sorted delivery batch
-    /// the event loop consumes by cursor).
+    /// Lookahead mode: the window's deliveries, extracted from `delcal`
+    /// by horizon and sorted at window open, consumed by cursor in the
+    /// event loop.
     staged: EventBatch,
     /// Cross-node activations delivered to this shard at the last
     /// barrier (canonically sorted; epoch mode only — lookahead mode
@@ -443,38 +445,33 @@ struct ShardState {
     /// Delivery events consumed through the window-open cursor this
     /// run — each one a heap push (and pop) the pre-calendar path paid.
     deliveries_drained: u64,
-    /// Reused permutation scratch for calendar-batch sorts.
+    /// Reused permutation scratch for delivery-batch sorts.
     scratch: SortScratch,
     /// Replication decisions taken this window.
     decisions: Vec<DecisionRec>,
+    /// Window scratch: each owned node's decision count this window —
+    /// the `node_seq` of the canonical commit order.
+    node_seqs: Vec<u32>,
+    /// Window scratch: local nodes that gained ready tasks at the
+    /// barrier, in wake order.
+    woken: Vec<usize>,
     /// Completions processed so far.
     done: usize,
-    /// Future node-control events (crashes, repairs, preemptions),
-    /// bucketed like `calendar`. Controls are node-local, so they never
-    /// cross shards; payloads pack `kind << 30 | global node`.
-    controls: EpochCalendar,
     /// Recovery runtime (shard-local node/slot indexing), present only
     /// when some recovery mechanism is enabled.
     rt: Option<Box<RecoveryRt>>,
 }
 
-/// Packs a control's `(kind, global node)` into an [`EpochCalendar`]
-/// payload word.
-#[inline]
-fn control_payload(kind: ControlKind, node: u32) -> u32 {
-    debug_assert!(node >> 30 == 0, "node ids must stay below 2^30");
-    ((kind as u32) << 30) | node
-}
-
-/// Inverse of [`control_payload`].
-#[inline]
-fn control_unpack(payload: u32) -> (ControlKind, u32) {
-    let kind = match payload >> 30 {
-        0 => ControlKind::Repair,
-        1 => ControlKind::Crash,
-        _ => ControlKind::Preempt,
-    };
-    (kind, payload & 0x3fff_ffff)
+impl ShardState {
+    /// The earliest pending event time — a carried completion or
+    /// control, or a delayed delivery — `+∞` when idle: the shard's
+    /// null message at the barrier.
+    fn horizon(&self) -> f64 {
+        self.heap
+            .peek()
+            .map_or(f64::INFINITY, |&Reverse(k)| k.time())
+            .min(self.delcal.min_time())
+    }
 }
 
 /// Perf counters of the sharded engine's cross-shard delivery path,
@@ -646,7 +643,6 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
                 records: RecordStore::new(counts[s]),
                 heap: BinaryHeap::new(),
                 seq: 0,
-                calendar: EpochCalendar::new(),
                 delcal: DeliveryCalendar::new(),
                 staged: EventBatch::new(),
                 inbox: EventBatch::new(),
@@ -655,8 +651,9 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
                 deliveries_drained: 0,
                 scratch: SortScratch::default(),
                 decisions: Vec::new(),
+                node_seqs: vec![0; owned_nodes],
+                woken: Vec::new(),
                 done: 0,
-                controls: EpochCalendar::new(),
                 rt: cfg
                     .recovery
                     .any_enabled(&cfg.injection)
@@ -700,14 +697,11 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
     if let Some(spec) = cfg.recovery.preempt {
         for (s, shard) in shards.iter_mut().enumerate() {
             for gn in map.range(s) {
-                let t = spec.first_down(gn as u32);
-                let bucket = match lookahead {
-                    None => (t / epoch) as u64,
-                    Some(_) => crate::events::time_bucket(t),
-                };
-                shard
-                    .controls
-                    .push(bucket, t, control_payload(ControlKind::Preempt, gn as u32));
+                shard.heap.push(Reverse(EventKey::control(
+                    spec.first_down(gn as u32),
+                    ControlKind::Preempt,
+                    gn as u32,
+                )));
             }
         }
     }
@@ -941,60 +935,35 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
             let done: usize = shards.iter().map(|s| s.done).sum();
             let finished = done == n;
             if !finished {
-                match lookahead {
-                    None => {
-                        window = if any_messages {
-                            window + 1
-                        } else {
-                            // Idle-window skip: fold every shard's earliest
-                            // pending epoch (the epoch-mode null message).
-                            let mut next: Option<u64> = None;
-                            drive_range(
-                                sched,
-                                ProtocolOp::HorizonReport,
-                                barrier,
-                                shards.len(),
-                                |s| {
-                                    if let Some(e) = shards[s].calendar.min_epoch() {
-                                        next = Some(next.map_or(e, |cur| cur.min(e)));
-                                    }
-                                    // Pending controls (a repair, a future
-                                    // preemption) also bound the skip — a
-                                    // ready task may be waiting on one.
-                                    if let Some(e) = shards[s].controls.min_epoch() {
-                                        next = Some(next.map_or(e, |cur| cur.min(e)));
-                                    }
-                                },
-                            );
-                            let next = next.unwrap_or_else(|| panic!("cycle or lost task in simulation graph ({done}/{n} completed, no pending events)"));
-                            next.max(window + 1)
-                        };
-                    }
-                    Some(l) => {
-                        // Null-message horizon exchange: every shard reports
-                        // its earliest pending event (+∞ when idle); the next
-                        // window extends one lookahead past the global
-                        // horizon, so it always contains the horizon event.
-                        let mut horizon = f64::INFINITY;
-                        drive_range(
-                            sched,
-                            ProtocolOp::HorizonReport,
-                            barrier,
-                            shards.len(),
-                            |s| {
-                                horizon = horizon.min(
-                                    shards[s]
-                                        .calendar
-                                        .min_time()
-                                        .min(shards[s].delcal.min_time())
-                                        .min(shards[s].controls.min_time()),
-                                );
-                            },
-                        );
-                        assert!(
+                // Null-message horizon exchange: every shard reports its
+                // earliest pending event (+∞ when idle).
+                let mut global_horizon = || {
+                    let mut horizon = f64::INFINITY;
+                    drive_range(
+                        sched,
+                        ProtocolOp::HorizonReport,
+                        barrier,
+                        shards.len(),
+                        |s| horizon = horizon.min(shards[s].horizon()),
+                    );
+                    assert!(
                         horizon.is_finite(),
                         "cycle or lost task in simulation graph ({done}/{n} completed, no pending events)"
                     );
+                    horizon
+                };
+                match lookahead {
+                    None if any_messages => window += 1,
+                    // Idle-window skip: jump to the window holding the
+                    // earliest pending event — a completion, or a control
+                    // (a repair, a future preemption) a ready task may be
+                    // waiting on.
+                    None => window = ((global_horizon() / epoch) as u64).max(window + 1),
+                    Some(l) => {
+                        // The next window extends one lookahead past the
+                        // global horizon, so it always contains the horizon
+                        // event.
+                        let horizon = global_horizon();
                         w_end = horizon + l;
                         if w_end <= horizon {
                             // Sub-ulp lookahead: force minimal progress.
@@ -1093,10 +1062,8 @@ fn state_fingerprint(
         fnv_step(&mut h, acc);
         fnv_step(&mut h, shard.heap.len() as u64);
         fnv_step(&mut h, u64::from(shard.seq));
-        shard.calendar.fold_hash(&mut h);
         shard.delcal.fold_hash(&mut h);
         shard.inbox.fold_hash(&mut h);
-        shard.controls.fold_hash(&mut h);
         if let Some(rt) = &shard.rt {
             rt.fold_hash(&mut h);
         }
@@ -1144,22 +1111,6 @@ impl Win {
             Win::Epoch { first, .. } | Win::Lookahead { first, .. } => first,
         }
     }
-
-    /// Calendar bucket for a future completion at `time`.
-    #[inline]
-    fn bucket(self, time: f64) -> u64 {
-        match self {
-            // The epoch index comes from the absolute time on the
-            // fixed global epoch grid, so it cannot depend on which
-            // window created the event; the clamp keeps boundary
-            // events out of the already-closed window when
-            // `time / epoch` rounds down across the boundary.
-            Win::Epoch { window, epoch, .. } => ((time / epoch) as u64).max(window + 1),
-            // Lookahead windows are not grid-aligned: bucket by the
-            // exactly monotone time_bucket and extract by horizon.
-            Win::Lookahead { .. } => crate::events::time_bucket(time),
-        }
-    }
 }
 
 /// Advances one shard through one window.
@@ -1174,85 +1125,32 @@ fn process_window<'c>(
 ) {
     let tasks = graph.tasks();
     let w_end = win.w_end();
-    // One policy fork per node per window, opened lazily on the first
-    // decision so idle nodes cost nothing; `node_seqs` ranks each
-    // node's decisions within the window for the canonical commit
-    // order.
-    let mut forks: Vec<Option<Box<dyn EpochDecider + 'c>>> =
-        (0..shard.nodes.len()).map(|_| None).collect();
-    let mut node_seqs: Vec<u32> = vec![0; shard.nodes.len()];
-    // Local node indices that gained ready tasks at the barrier.
-    let mut woken: Vec<usize> = Vec::new();
+    // One policy fork per shard per window, opened lazily on the first
+    // decision so idle shards cost nothing; each node decides through
+    // its own view of it, and `node_seqs` ranks each node's decisions
+    // within the window for the canonical commit order.
+    let mut fork: Option<Box<dyn EpochDecider + 'c>> = None;
+    shard.node_seqs.fill(0);
 
     match win {
-        Win::Epoch { window, .. } => {
+        Win::Epoch { .. } => {
             // Deliver barrier messages (already in canonical order);
-            // readiness is quantized to the barrier.
-            for (time, task) in shard.inbox.iter() {
+            // readiness is quantized to the barrier. A node woken twice
+            // is listed twice: its second dispatch finds the queue
+            // drained or the cores busy and returns.
+            for (_, task) in shard.inbox.iter() {
                 let li = local_of[task as usize] as usize;
                 debug_assert!(shard.indegree[li] > 0, "duplicate activation");
                 shard.indegree[li] -= 1;
-                let _ = time;
                 if shard.indegree[li] == 0 {
                     let ln = tasks[task as usize].node as usize - shard.first_node;
                     shard.ready.push_back(ln, task, li);
-                    if !woken.contains(&ln) {
-                        woken.push(ln);
-                    }
+                    shard.woken.push(ln);
                 }
             }
             shard.inbox.clear();
-
-            // Open this window's calendar batch: stable by time, so
-            // simultaneous completions keep dispatch order — the
-            // sequential engine's tie-break.
-            if let Some(mut batch) = shard.calendar.take(window) {
-                batch.sort_stable_by_time(&mut shard.scratch);
-                for (time, task) in batch.iter() {
-                    shard
-                        .heap
-                        .push(Reverse(EventKey::new(time, shard.seq, task)));
-                    shard.seq += 1;
-                }
-                shard.calendar.recycle(batch);
-            }
-            // This window's controls re-enter with their canonical
-            // packed keys (no sequencing needed — `(time, kind, node)`
-            // is unique), exactly the keys the sequential engine holds.
-            if let Some(batch) = shard.controls.take(window) {
-                for (time, payload) in batch.iter() {
-                    let (kind, node) = control_unpack(payload);
-                    shard
-                        .heap
-                        .push(Reverse(EventKey::control(time, kind, node)));
-                }
-                shard.controls.recycle(batch);
-            }
         }
         Win::Lookahead { .. } => {
-            // Horizon-bounded extraction: stage every future
-            // completion before the window end, stable by time (the
-            // batch concatenates ascending buckets in insertion order,
-            // so equal-time completions keep dispatch order), then
-            // every pending control.
-            let hb = crate::events::time_bucket(w_end);
-            shard.staged.clear();
-            shard.calendar.take_before(w_end, hb, &mut shard.staged);
-            shard.staged.sort_stable_by_time(&mut shard.scratch);
-            for (time, task) in shard.staged.iter() {
-                shard
-                    .heap
-                    .push(Reverse(EventKey::new(time, shard.seq, task)));
-                shard.seq += 1;
-            }
-            shard.staged.clear();
-            shard.controls.take_before(w_end, hb, &mut shard.staged);
-            for (time, payload) in shard.staged.iter() {
-                let (kind, node) = control_unpack(payload);
-                shard
-                    .heap
-                    .push(Reverse(EventKey::control(time, kind, node)));
-            }
             // Deliveries bypass the heap entirely: drain the calendar's
             // pending runs, sort once into the canonical
             // `(time, consumer)` order — exactly the order the heap's
@@ -1266,9 +1164,8 @@ fn process_window<'c>(
 
     // The first window seeds source tasks at t = 0.
     if win.first() {
-        woken = (0..shard.nodes.len())
-            .filter(|&ln| shard.ready.front(ln).is_some())
-            .collect();
+        let seeded = (0..shard.nodes.len()).filter(|&ln| shard.ready.front(ln).is_some());
+        shard.woken.extend(seeded);
     }
     // Barrier-woken dispatches run at the window start; in lookahead
     // mode only the t = 0 seed window wakes nodes this way (every
@@ -1277,29 +1174,20 @@ fn process_window<'c>(
         Win::Epoch { window, epoch, .. } => window as f64 * epoch,
         Win::Lookahead { .. } => 0.0,
     };
-    for ln in woken {
-        dispatch_node(
-            shard,
-            &mut forks,
-            &mut node_seqs,
-            ln,
-            w_start,
-            win,
-            graph,
-            cfg,
-            cost,
-            local_of,
-        );
+    for i in 0..shard.woken.len() {
+        let ln = shard.woken[i];
+        dispatch_node(shard, &mut fork, ln, w_start, graph, cfg, cost, local_of);
     }
+    shard.woken.clear();
 
-    // Event loop: by construction the heap only ever holds completion
-    // and control events of the current window; deliveries stream from
-    // the sorted `staged` batch through a cursor (taken out of the
-    // shard so the loop body can borrow the shard mutably). Merging is
-    // exact: delivery keys are already in ascending canonical order,
+    // Event loop: pop the heap while its top lies inside the window —
+    // later events stay put for a later window — and stream deliveries
+    // from the sorted `staged` batch through a cursor (taken out of
+    // the shard so the loop body can borrow the shard mutably). Merging
+    // is exact: delivery keys are already in ascending canonical order,
     // and at equal timestamps the packed-key compare puts completions
-    // first — the same total order the old all-in-one heap popped in,
-    // minus a push+pop per delivery.
+    // first — the same total order one all-in-one heap pops in, minus a
+    // push+pop per delivery.
     let staged_deliveries = std::mem::take(&mut shard.staged);
     let mut cursor = 0usize;
     loop {
@@ -1309,17 +1197,17 @@ fn process_window<'c>(
                 staged_deliveries.task_at(cursor),
             )
         });
-        let key = match (shard.heap.peek().map(|&Reverse(k)| k), next_delivery) {
-            (Some(h), Some(d)) => {
-                if h < d {
-                    shard.heap.pop();
-                    h
-                } else {
-                    cursor += 1;
-                    d
-                }
+        let next_heap = shard
+            .heap
+            .peek()
+            .map(|&Reverse(k)| k)
+            .filter(|k| k.time() < w_end);
+        let key = match (next_heap, next_delivery) {
+            (Some(h), Some(d)) if d < h => {
+                cursor += 1;
+                d
             }
-            (Some(h), None) => {
+            (Some(h), _) => {
                 shard.heap.pop();
                 h
             }
@@ -1336,39 +1224,25 @@ fn process_window<'c>(
             // (controls never cross shards — recovery is node-local).
             let gn = id;
             let ln = gn as usize - shard.first_node;
+            let ShardState {
+                nodes,
+                ready,
+                records,
+                heap,
+                rt,
+                ..
+            } = shard;
+            let r = rt
+                .as_deref_mut()
+                .expect("control events require the recovery runtime");
             match key.control_kind() {
                 ControlKind::Repair => {
-                    let r = shard
-                        .rt
-                        .as_deref_mut()
-                        .expect("control events require the recovery runtime");
                     if r.repair_valid(ln, now) {
                         r.repair(now, gn, ln);
-                        dispatch_node(
-                            shard,
-                            &mut forks,
-                            &mut node_seqs,
-                            ln,
-                            now,
-                            win,
-                            graph,
-                            cfg,
-                            cost,
-                            local_of,
-                        );
+                        dispatch_node(shard, &mut fork, ln, now, graph, cfg, cost, local_of);
                     }
                 }
                 ControlKind::Crash => {
-                    let ShardState {
-                        nodes,
-                        ready,
-                        records,
-                        rt,
-                        ..
-                    } = shard;
-                    let r = rt
-                        .as_deref_mut()
-                        .expect("control events require the recovery runtime");
                     if r.crash_valid(ln, now) {
                         let down = r.kill(
                             now,
@@ -1383,7 +1257,7 @@ fn process_window<'c>(
                         let ns = &mut nodes[ln];
                         ns.free_cores = cfg.cluster.node.cores;
                         ns.spare_free.fill(down);
-                        push_control(shard, win, down, ControlKind::Repair, gn);
+                        heap.push(Reverse(EventKey::control(down, ControlKind::Repair, gn)));
                     }
                 }
                 ControlKind::Preempt => {
@@ -1391,16 +1265,6 @@ fn process_window<'c>(
                         .recovery
                         .preempt
                         .expect("preempt control without a trace");
-                    let ShardState {
-                        nodes,
-                        ready,
-                        records,
-                        rt,
-                        ..
-                    } = shard;
-                    let r = rt
-                        .as_deref_mut()
-                        .expect("control events require the recovery runtime");
                     let down = r.kill(
                         now,
                         gn,
@@ -1414,8 +1278,12 @@ fn process_window<'c>(
                     let ns = &mut nodes[ln];
                     ns.free_cores = cfg.cluster.node.cores;
                     ns.spare_free.fill(down);
-                    push_control(shard, win, down, ControlKind::Repair, gn);
-                    push_control(shard, win, now + spec.period(), ControlKind::Preempt, gn);
+                    heap.push(Reverse(EventKey::control(down, ControlKind::Repair, gn)));
+                    heap.push(Reverse(EventKey::control(
+                        now + spec.period(),
+                        ControlKind::Preempt,
+                        gn,
+                    )));
                 }
             }
             continue;
@@ -1429,18 +1297,7 @@ fn process_window<'c>(
             if shard.indegree[li] == 0 {
                 let ln = tasks[id as usize].node as usize - shard.first_node;
                 shard.ready.push_back(ln, id, li);
-                dispatch_node(
-                    shard,
-                    &mut forks,
-                    &mut node_seqs,
-                    ln,
-                    now,
-                    win,
-                    graph,
-                    cfg,
-                    cost,
-                    local_of,
-                );
+                dispatch_node(shard, &mut fork, ln, now, graph, cfg, cost, local_of);
             }
             continue;
         }
@@ -1480,18 +1337,7 @@ fn process_window<'c>(
                 }
             }
         }
-        dispatch_node(
-            shard,
-            &mut forks,
-            &mut node_seqs,
-            ln,
-            now,
-            win,
-            graph,
-            cfg,
-            cost,
-            local_of,
-        );
+        dispatch_node(shard, &mut fork, ln, now, graph, cfg, cost, local_of);
     }
 
     // Hand the (drained) delivery buffer back for next window's reuse,
@@ -1511,24 +1357,21 @@ fn process_window<'c>(
 }
 
 /// Dispatches everything currently startable on one node, mirroring the
-/// sequential engine's `dispatch_ready` for a single node. Completion
-/// events landing inside the current window go to the heap; later ones
-/// go to the calendar.
+/// sequential engine's `dispatch_ready` for a single node. Every
+/// completion (and armed crash) goes into the shard's heap with the
+/// next dispatch sequence number, whichever window it lands in.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_node<'c>(
     shard: &mut ShardState,
-    forks: &mut [Option<Box<dyn EpochDecider + 'c>>],
-    node_seqs: &mut [u32],
+    fork: &mut Option<Box<dyn EpochDecider + 'c>>,
     ln: usize,
     now: f64,
-    win: Win,
     graph: &SimGraph,
     cfg: &'c SimConfig,
     cost: &PreparedCost,
     local_of: &[u32],
 ) {
     let tasks = graph.tasks();
-    let w_end = win.w_end();
     if shard.rt.as_ref().is_some_and(|r| r.is_down(ln)) {
         // A revoked node dispatches nothing; its repair control
         // revisits the queue.
@@ -1558,9 +1401,9 @@ fn dispatch_node<'c>(
                 replicate
             })
         } else {
-            let fork = forks[ln].get_or_insert_with(|| cfg.policy.fork_epoch());
+            let fork = fork.get_or_insert_with(|| cfg.policy.fork_epoch());
             dispatch_task(graph, task, ns, now, cfg, cost, 0, &mut |ctx| {
-                let replicate = fork.decide(ctx);
+                let replicate = fork.decide_at(ln, ctx);
                 decided = Some(replicate);
                 replicate
             })
@@ -1569,27 +1412,25 @@ fn dispatch_node<'c>(
             shard.decisions.push(DecisionRec::new(
                 now,
                 task.node,
-                node_seqs[ln],
+                shard.node_seqs[ln],
                 id,
                 replicate,
                 fx.lagged,
             ));
-            node_seqs[ln] += 1;
+            shard.node_seqs[ln] += 1;
             if fx.lagged {
-                // Mirror the lag charge on the local fork so later
+                // Mirror the lag charge on the node's view so later
                 // decisions in this window see it; the global policy
                 // hears about it at commit, in canonical order.
-                forks[ln]
-                    .as_mut()
+                fork.as_mut()
                     .expect("fork exists after a decision")
-                    .on_replica_failed(&decision_ctx(task));
+                    .on_replica_failed_at(ln, &decision_ctx(task));
             }
         }
         if uses_core {
             ns.free_cores -= 1;
         }
         shard.records.set(li, &record);
-        let mut armed_crash: Option<f64> = None;
         if let Some(r) = shard.rt.as_deref_mut() {
             if retry.is_some() {
                 r.note(now, task.node, id, RecoveryKind::Restart);
@@ -1605,7 +1446,11 @@ fn dispatch_node<'c>(
             }
             if let Some(crash_at) = fx.crash_at {
                 if r.arm_crash(ln, crash_at) {
-                    armed_crash = Some(crash_at);
+                    shard.heap.push(Reverse(EventKey::control(
+                        crash_at,
+                        ControlKind::Crash,
+                        task.node,
+                    )));
                 }
             }
         } else {
@@ -1614,32 +1459,10 @@ fn dispatch_node<'c>(
                 "crash injection requires the recovery runtime: set a non-zero p_crash"
             );
         }
-        if let Some(crash_at) = armed_crash {
-            push_control(shard, win, crash_at, ControlKind::Crash, task.node);
-        }
-        if completion < w_end {
-            shard
-                .heap
-                .push(Reverse(EventKey::new(completion, shard.seq, id)));
-            shard.seq += 1;
-        } else {
-            shard.calendar.push(win.bucket(completion), completion, id);
-        }
-    }
-}
-
-/// Routes a control event to the current window's heap when it lands
-/// inside the window, or to the controls calendar otherwise — the same
-/// placement rule completions use.
-fn push_control(shard: &mut ShardState, win: Win, time: f64, kind: ControlKind, node: u32) {
-    if time < win.w_end() {
         shard
             .heap
-            .push(Reverse(EventKey::control(time, kind, node)));
-    } else {
-        shard
-            .controls
-            .push(win.bucket(time), time, control_payload(kind, node));
+            .push(Reverse(EventKey::new(completion, shard.seq, id)));
+        shard.seq += 1;
     }
 }
 
@@ -2030,5 +1853,167 @@ mod tests {
             (la - oracle).abs() <= (epoch - oracle).abs() + 1e-9,
             "lookahead error must not exceed epoch error: la {la}, epoch {epoch}, seq {oracle}"
         );
+    }
+
+    /// Builds a placed graph from `(label, node, flops, reads, writes)`
+    /// rows over one-cell buffers — dependencies follow the cells.
+    fn cell_graph(cells: usize, rows: &[(u32, f64, &[usize], &[usize])]) -> SimGraph {
+        use dataflow_rt::{DataArena, Region, TaskGraph, TaskSpec};
+        let mut arena = DataArena::new();
+        let bufs: Vec<_> = (0..cells)
+            .map(|i| arena.alloc(&format!("c{i}"), 1))
+            .collect();
+        let mut g = TaskGraph::new();
+        for &(node, flops, reads, writes) in rows {
+            let mut spec = TaskSpec::new(node.to_string()).flops(flops);
+            for &c in reads {
+                spec = spec.reads(Region::full(bufs[c], 1));
+            }
+            for &c in writes {
+                spec = spec.writes(Region::full(bufs[c], 1));
+            }
+            g.submit(spec);
+        }
+        SimGraph::from_task_graph(&g, &RateModel::roadrunner(), |t| {
+            t.label.parse().expect("label is the node")
+        })
+    }
+
+    /// Two tasks of one node dispatched in **different windows** whose
+    /// completions are bit-equal complete in dispatch order — the
+    /// carried event's dispatch sequence number is the smaller one.
+    /// Per node (2 cores): `A` (4 flops) and `B0` (2) start at 0, `B`
+    /// (2) follows `B0`, so `A` and `B` both end at `4/rate` exactly
+    /// (doubling is exact); `A` feeds two successors and `B` one, so
+    /// with `A` first both of `A`'s run at once and `B`'s waits a slot —
+    /// the other order would run one of each.
+    #[test]
+    fn equal_time_completions_from_different_windows_keep_dispatch_order() {
+        let nodes = 4usize;
+        let mut rows: Vec<(u32, f64, &[usize], &[usize])> = Vec::new();
+        let cells: Vec<[usize; 5]> = (0..nodes)
+            .map(|k| [0, 1, 2, 3, 4].map(|c| 5 * k + c))
+            .collect();
+        let sink_reads: Vec<usize> = cells.iter().map(|c| c[4]).collect();
+        for (k, c) in cells.iter().enumerate() {
+            let k = k as u32;
+            rows.push((k, 4.0, &[], &c[0..1])); // A
+            rows.push((k, 2.0, &[], &c[1..2])); // B0
+            rows.push((k, 2.0, &c[1..2], &c[1..2])); // B
+            rows.push((k, 2.0, &c[0..1], &c[2..3])); // SA1
+            rows.push((k, 2.0, &c[0..1], &c[3..4])); // SA2
+            rows.push((k, 2.0, &c[1..2], &c[4..5])); // SB
+        }
+        // One cross-node consumer keeps the barrier exchange live.
+        rows.push((0, 1.0, &sink_reads, &[]));
+        let g = cell_graph(5 * nodes, &rows);
+        let cfg = config(unit_cluster(nodes, 2, 0), false, None);
+
+        let check = |report: &SimReport, what: &str| {
+            let r = report.records();
+            for k in 0..nodes {
+                let (a, b, sa2, sb) = (&r[6 * k], &r[6 * k + 2], &r[6 * k + 4], &r[6 * k + 5]);
+                assert!(b.dispatched > a.dispatched, "{what}: B starts after A");
+                assert_eq!(
+                    a.completed.to_bits(),
+                    b.completed.to_bits(),
+                    "{what}: the tie must be bit-exact"
+                );
+                assert_eq!(sa2.dispatched, a.completed, "{what}: A completed first");
+                assert!(sb.dispatched > a.completed, "{what}: B's successor waits");
+            }
+        };
+        // Epoch mode: 0.75 s windows put B's dispatch (t = 2) two
+        // windows after A's.
+        let reference = simulate_sharded(&g, &cfg, &ShardedConfig::new(1, 0.75));
+        check(&reference, "epoch");
+        for shards in [2usize, 4] {
+            let got = simulate_sharded(&g, &cfg, &ShardedConfig::new(shards, 0.75));
+            assert_eq!(reference, got, "epoch shards={shards}");
+        }
+        // Lookahead mode, against the single-heap oracle.
+        let oracle = crate::sim::simulate_delayed(&g, &cfg, 0.5);
+        check(&oracle, "delayed oracle");
+        for shards in [1usize, 2, 4] {
+            let sc = ShardedConfig::new(shards, 1.0).with_lookahead(0.5);
+            assert_eq!(
+                oracle,
+                simulate_sharded(&g, &cfg, &sc),
+                "lookahead shards={shards}"
+            );
+        }
+    }
+
+    /// A completion landing **exactly on the window end** is carried to
+    /// the next window — neither dropped nor processed early (the
+    /// completion-side twin of
+    /// `delivery_exactly_on_window_barrier_neither_drops_nor_doubles`).
+    /// `A` on node 0 feeds `X` on node 1 and the window length is `A`'s
+    /// own duration `c`: `A` completes in the second window, so `X`
+    /// starts at `2c` (an early completion would start it at `c` in
+    /// epoch mode) and the run takes three windows in both modes.
+    #[test]
+    fn completion_exactly_on_window_end_is_carried() {
+        let g = cell_graph(1, &[(0, 4.0, &[], &[0]), (1, 2.0, &[0], &[])]);
+        let cfg = config(unit_cluster(2, 1, 0), false, None);
+        let c = simulate(&g, &cfg).records()[0].completed;
+        assert!(c > 0.0);
+        for sc in [
+            ShardedConfig::new(2, c),
+            ShardedConfig::new(2, 1.0).with_lookahead(c),
+        ] {
+            let (report, stats) = simulate_sharded_stats(&g, &cfg, &sc);
+            let r = report.records();
+            assert_eq!(r[0].completed, c, "{:?}", sc.sync);
+            assert_eq!(r[1].dispatched, 2.0 * c, "{:?}", sc.sync);
+            assert_eq!(stats.windows, 3, "{:?}", sc.sync);
+        }
+        assert_eq!(
+            crate::sim::simulate_delayed(&g, &cfg, c),
+            simulate_sharded(&g, &cfg, &ShardedConfig::new(2, 1.0).with_lookahead(c)),
+        );
+    }
+
+    /// Epoch idle-window skip with nothing pending but a `Repair`
+    /// control: after a crash kills the node's only in-flight task the
+    /// heap holds the repair alone (once the stale completion has
+    /// popped), the skip must land on the repair's window, and the run
+    /// must equal the sequential engine (single node, no messages).
+    #[test]
+    fn idle_skip_advances_to_a_pending_repair() {
+        let rows: Vec<(u32, f64, &[usize], &[usize])> =
+            (0..12).map(|_| (0, 1.0, &[][..], &[][..])).collect();
+        let g = cell_graph(0, &rows);
+        let mut cfg = config(unit_cluster(1, 1, 0), false, Some(17));
+        cfg.injection = InjectionConfig::PerTask {
+            p_due: 0.0,
+            p_sdc: 0.0,
+            p_crash: 0.4,
+        };
+        cfg.recovery.crash_repair_secs = 64.0;
+        let reference = simulate(&g, &cfg);
+        let count = |kind| {
+            reference
+                .recovery()
+                .iter()
+                .filter(|r| r.kind == kind)
+                .count() as u64
+        };
+        let (crashes, restarts) = (count(RecoveryKind::Crash), count(RecoveryKind::Restart));
+        assert!(crashes > 0, "seed must draw at least one crash");
+        let epoch = 0.5;
+        let (report, stats) = simulate_sharded_stats(&g, &cfg, &ShardedConfig::new(1, epoch));
+        assert_eq!(reference, report);
+        // Every window after a skip holds the event skipped to, so the
+        // run takes at most one window per event — dispatches, crashes
+        // and repairs — where stepping window by window through the
+        // repairs alone would take `64 / epoch` each.
+        let events = g.len() as u64 + restarts + 2 * crashes;
+        assert!(
+            stats.windows <= events + 1,
+            "{} windows for {events} events",
+            stats.windows
+        );
+        assert!(stats.windows < crashes * (64.0 / epoch) as u64);
     }
 }

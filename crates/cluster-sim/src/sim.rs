@@ -307,14 +307,15 @@ pub fn simulate(graph: &SimGraph, cfg: &SimConfig) -> SimReport {
 /// exactly `lookahead` virtual seconds after the producer completes
 /// (the activation message pays the interconnect's latency floor), and
 /// the replication policy is consulted through the same
-/// fork-per-node / commit-at-horizon schedule the sharded lookahead
-/// engine uses — policy forks open per node per window `[T, H + L)`
-/// (`H` the earliest pending event at the window's opening barrier)
-/// and commit in canonical `(time, node, within-node order)`.
+/// view-per-node / commit-at-horizon schedule the sharded lookahead
+/// engine uses — one policy fork opens per window `[T, H + L)` (`H`
+/// the earliest pending event at the window's opening barrier), each
+/// node decides through its own view of it, and the window commits in
+/// canonical `(time, node, within-node order)`.
 ///
 /// This is an independent, single-heap implementation of the exact
 /// semantics [`crate::shard::simulate_sharded`] implements with
-/// per-shard calendars and null-message windows — the cross-engine
+/// per-shard heaps and null-message windows — the cross-engine
 /// conformance harness (`tests/conformance.rs`) asserts the two agree
 /// **bit for bit** at every shard count. `lookahead` must be positive
 /// and finite.
@@ -334,16 +335,16 @@ pub fn simulate_delayed(graph: &SimGraph, cfg: &SimConfig, lookahead: f64) -> Si
     let mut makespan = 0.0f64;
     let cost = cfg.cost.prepare(&cfg.cluster.node);
     let mut committed: Vec<EpochDecision> = Vec::new();
-    // Policy windows: one fork per node per window, committed at the
-    // horizon barrier in canonical order (shared with the sharded
-    // engine via `commit_pending`).
+    // Policy windows: one fork per window with one view per node,
+    // committed at the horizon barrier in canonical order (shared with
+    // the sharded engine via `commit_pending`).
     let mut dw = DelayedState {
         state: (0..nodes).map(|_| NodeState::new(&cfg.cluster)).collect(),
         ready: ReadyList::new(nodes, n),
         heap: BinaryHeap::new(),
         seq: 0,
         records: RecordStore::new(n),
-        forks: (0..nodes).map(|_| None).collect(),
+        fork: None,
         node_seqs: vec![0; nodes],
         pending: Vec::new(),
         rt: cfg
@@ -387,12 +388,12 @@ pub fn simulate_delayed(graph: &SimGraph, cfg: &SimConfig, lookahead: f64) -> Si
     while let Some(&Reverse(peek)) = dw.heap.peek() {
         if peek.time() >= w_end {
             // Horizon barrier: commit this window's decisions in
-            // canonical order, drop the forks, extend the window one
+            // canonical order, drop the fork, extend the window one
             // lookahead past the earliest pending event. Control
             // events join the horizon min-fold exactly as in the
             // sharded engine — they sit in the same heap.
             commit_pending(&*cfg.policy, tasks, &mut dw.pending, &mut committed);
-            dw.forks.iter_mut().for_each(|f| *f = None);
+            dw.fork = None;
             dw.node_seqs.fill(0);
             let horizon = peek.time();
             w_end = horizon + lookahead;
@@ -544,7 +545,7 @@ struct DelayedState<'c> {
     heap: BinaryHeap<Reverse<EventKey>>,
     seq: u32,
     records: RecordStore,
-    forks: Vec<Option<Box<dyn EpochDecider + 'c>>>,
+    fork: Option<Box<dyn EpochDecider + 'c>>,
     node_seqs: Vec<u32>,
     pending: Vec<DecisionRec>,
     rt: Option<Box<RecoveryRt>>,
@@ -568,7 +569,7 @@ fn dispatch_node_delayed<'c>(
         heap,
         seq,
         records,
-        forks,
+        fork,
         node_seqs,
         pending,
         rt,
@@ -596,9 +597,9 @@ fn dispatch_node_delayed<'c>(
                 replicate
             })
         } else {
-            let fork = forks[node].get_or_insert_with(|| cfg.policy.fork_epoch());
+            let fork = fork.get_or_insert_with(|| cfg.policy.fork_epoch());
             dispatch_task(graph, task, ns, now, cfg, cost, 0, &mut |ctx| {
-                let replicate = fork.decide(ctx);
+                let replicate = fork.decide_at(node, ctx);
                 decided = Some(replicate);
                 replicate
             })
@@ -614,13 +615,12 @@ fn dispatch_node_delayed<'c>(
             ));
             node_seqs[node] += 1;
             if fx.lagged {
-                // Mirror the lag charge on the local fork so later
+                // Mirror the lag charge on the node's view so later
                 // decisions in this window see it; the global policy
                 // hears about it at commit, in canonical order.
-                forks[node]
-                    .as_mut()
+                fork.as_mut()
                     .expect("fork exists after a decision")
-                    .on_replica_failed(&decision_ctx(task));
+                    .on_replica_failed_at(node, &decision_ctx(task));
             }
         }
         records.set(slot, &record);
@@ -758,8 +758,8 @@ fn dispatch_ready(
 /// The replication decision is delegated to `decide` so the two engines
 /// can plug in their own policy wiring: the sequential engine consults
 /// the global policy directly (decisions in global dispatch order), the
-/// sharded engine consults a per-node epoch fork (decisions committed
-/// at the next barrier). Everything else — transfers, contention
+/// sharded engine consults the node's view in a window fork (decisions
+/// committed at the next barrier). Everything else — transfers, contention
 /// snapshot, protection and recovery timing — is this one shared code
 /// path, which is what makes the engines bit-comparable.
 ///

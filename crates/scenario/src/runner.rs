@@ -364,6 +364,9 @@ impl DecisionSink for TraceRecorder {
 
     fn on_epoch_commit(&self, decisions: &[EpochDecision]) {
         let mut s = self.state.lock();
+        // `close_epoch` moves `open` out, so every epoch starts it with
+        // no capacity: reserve the known count once instead of doubling.
+        s.open.reserve_exact(decisions.len());
         for d in decisions {
             s.push(d.ctx.id as u32, d.replicate, d.ctx.rates.total().value());
         }

@@ -275,6 +275,15 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The `Vec` capacity to reserve for `count` elements of `encoded`
+    /// bytes each, `count` being a number read off the wire: never more
+    /// elements than the bytes still unread could encode, so a forged
+    /// count reserves nothing the input does not pay for (reading the
+    /// elements then fails with the usual truncation error).
+    fn capacity(&self, count: usize, encoded: usize) -> usize {
+        count.min((self.bytes.len() - self.pos) / encoded)
+    }
+
     fn u16(&mut self, what: &str) -> Result<u16, TraceError> {
         Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
     }
@@ -414,10 +423,10 @@ impl Trace {
             .map_err(|_| TraceError("spec text is not UTF-8".into()))?;
         let makespan = r.f64("makespan")?;
         let epoch_count = r.u32("epoch count")? as usize;
-        let mut epochs = Vec::with_capacity(epoch_count.min(1 << 20));
+        let mut epochs = Vec::with_capacity(r.capacity(epoch_count, 28));
         for _ in 0..epoch_count {
             let n = r.u32("decision count")? as usize;
-            let mut decisions = Vec::with_capacity(n.min(1 << 22));
+            let mut decisions = Vec::with_capacity(r.capacity(n, 13));
             for _ in 0..n {
                 let task = r.u32("task id")?;
                 let replicate = match r.take(1, "replicate flag")?[0] {
@@ -443,9 +452,10 @@ impl Trace {
         }
         let timing = if flags & FLAG_TIMING != 0 {
             let n = r.u32("timing count")? as usize;
+            let cap = r.capacity(n, 16);
             let mut timing = TraceTiming {
-                dispatched: Vec::with_capacity(n.min(1 << 22)),
-                completed: Vec::with_capacity(n.min(1 << 22)),
+                dispatched: Vec::with_capacity(cap),
+                completed: Vec::with_capacity(cap),
             };
             for _ in 0..n {
                 timing.dispatched.push(r.f64("dispatch time")?);
@@ -457,7 +467,7 @@ impl Trace {
         };
         let recovery = if flags & FLAG_RECOVERY != 0 {
             let n = r.u32("recovery count")? as usize;
-            let mut events = Vec::with_capacity(n.min(1 << 22));
+            let mut events = Vec::with_capacity(r.capacity(n, 17));
             for _ in 0..n {
                 events.push(TraceRecovery {
                     time: r.f64("recovery time")?,
@@ -873,6 +883,39 @@ mod tests {
         let mut extra = bytes.clone();
         extra.push(0);
         assert!(Trace::from_bytes(&extra).is_err());
+    }
+
+    /// A 28-byte file whose header claims 2³² − 1 decisions: decoding
+    /// fails on the missing payload, and the capacity every section
+    /// reserves from a wire count is bounded by the bytes left — zero
+    /// here — not by the count.
+    #[test]
+    fn forged_count_over_empty_payload_reserves_nothing() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u16.to_le_bytes()); // flags
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // empty spec
+        bytes.extend_from_slice(&0f64.to_bits().to_le_bytes()); // makespan
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // one epoch
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // its decisions
+        let err = Trace::from_bytes(&bytes).expect_err("payload is missing");
+        assert!(err.0.contains("truncated"), "{}", err.0);
+        let at_payload = Reader {
+            bytes: &bytes,
+            pos: bytes.len(),
+        };
+        assert_eq!(at_payload.capacity(u32::MAX as usize, 13), 0);
+        // With bytes left, the bound is what they could encode.
+        let at_start = Reader {
+            bytes: &bytes,
+            pos: 0,
+        };
+        for encoded in [13, 16, 17, 28] {
+            let cap = at_start.capacity(u32::MAX as usize, encoded);
+            assert!(cap * encoded <= bytes.len(), "{cap} × {encoded}");
+            assert_eq!(at_start.capacity(1, encoded), 1);
+        }
     }
 
     #[test]

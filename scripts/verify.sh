@@ -13,11 +13,10 @@
 #      trace determinism contract),
 #   8. a release-mode `bench-sim --smoke` run (small presets, both
 #      sync modes; asserts the BENCH_sim.json schema so the
-#      perf-tracking machinery can't rot, and gates the
-#      lookahead/epoch throughput ratio at smoke scale so the
-#      delivery-path overhead can't silently regress — the cap is
-#      deliberately loose (sub-millisecond runs on a shared host
-#      jitter ~2×) but a reverted delivery path blows well past it),
+#      perf-tracking machinery can't rot — no timing is gated here:
+#      sub-millisecond smoke runs read anywhere from 4× to 48× apart
+#      on a shared host, and speed is judged by `bench/` under the
+#      BENCHMARK.json protocol),
 #   9. the cross-engine conformance harness in release mode (fixed
 #      seeds: lookahead ≡ sequential reference bitwise, per-mode
 #      shard-layout invariance, lookahead error ≤ epoch error), plus
@@ -81,9 +80,9 @@ cargo run --release -q -p repro-bench --bin repro -- scenario record smoke --out
 cargo run --release -q -p repro-bench --bin repro -- scenario replay "$smoke_trace"
 cargo run --release -q -p repro-bench --bin repro -- scenario diff "$smoke_trace" "$smoke_trace"
 
-echo "==> bench-sim smoke (schema check + lookahead/epoch ratio gate)"
+echo "==> bench-sim smoke (schema check)"
 cargo run --release -q -p repro-bench --bin repro -- bench-sim --smoke --repeat 3 \
-    --assert-ratio smoke-lookahead:smoke:4.0 --out target/verify-bench-sim.json
+    --out target/verify-bench-sim.json
 
 echo "==> cross-engine conformance harness (release, fixed seeds)"
 cargo test --release -q -p cluster-sim --test conformance
