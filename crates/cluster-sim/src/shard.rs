@@ -38,8 +38,11 @@
 //!
 //! * **Within one node** the engine is event-exact: the same FIFO list
 //!   scheduler, contention snapshot, protection costs and recovery
-//!   timing as [`crate::sim::simulate`], computed by the same code
-//!   path ([`crate::sim`]'s `dispatch_task`). A scenario placed
+//!   timing as [`crate::sim::simulate`], computed by the same code —
+//!   [`crate::sim`]'s `drain_node` over a `DispatchState` per shard,
+//!   and its `DispatchState::control` for crashes, repairs and
+//!   preemptions; only the policy wiring differs (the shard's
+//!   `WindowDecider`). A scenario placed
 //!   entirely on one node therefore reproduces the sequential engine
 //!   **bit for bit**, for any shard count and any epoch length.
 //! * **Across nodes**, epoch mode is epoch-quantized: a dependency
@@ -83,21 +86,18 @@
 //! rationale and the proof sketch of shard-count invariance.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::mpsc;
 
-use appfit_core::{EpochDecider, EpochDecision};
+use appfit_core::{DecisionCtx, EpochDecider, EpochDecision, ReplicationPolicy};
 
 use crate::cost::PreparedCost;
-use crate::events::{ControlKind, DeliveryCalendar, EventBatch, EventKey, SortScratch};
+use crate::events::{DeliveryCalendar, EventBatch, EventKey, SortScratch};
 use crate::graph::{SimGraph, SimTask};
 use crate::machine::ShardMap;
-use crate::ready::ReadyList;
-use crate::records::RecordStore;
-use crate::recovery::{sort_canonical, RecoveryKind, RecoveryRecord, RecoveryRt};
+use crate::recovery::{sort_canonical, RecoveryRecord};
 use crate::report::{SimReport, SimTaskRecord};
 use crate::sched::{fnv_step, splitmix, NaturalOrder, ProtocolOp, ShardScheduler, FNV_SEED};
-use crate::sim::{decision_ctx, dispatch_task, NodeState, SimConfig};
+use crate::sim::{decision_ctx, drain_node, Decider, DispatchState, SimConfig};
 
 /// Cross-node synchronization mode of the sharded engine (see the
 /// [module docs](self)).
@@ -369,6 +369,67 @@ pub(crate) fn commit_pending_with(
     pending.clear();
 }
 
+/// The windowed engines' policy wiring — [`crate::sim::simulate_delayed`]
+/// and every shard of the sharded engine. One policy fork per window,
+/// opened lazily on the first decision so idle windows cost nothing;
+/// each node decides through its own view of it, and every decision is
+/// recorded with its within-node rank for the barrier commit. A lagged
+/// replica is charged on the node's view at once, so later decisions in
+/// the window see it; the global policy hears about it at commit, in
+/// canonical order.
+pub(crate) struct WindowDecider<'a, 'c> {
+    policy: &'c dyn ReplicationPolicy,
+    /// The window's fork, `None` until its first decision.
+    pub(crate) fork: Option<Box<dyn EpochDecider + 'c>>,
+    /// Each local node's decision count this window — the `node_seq`
+    /// of the canonical commit order.
+    pub(crate) node_seqs: &'a mut [u32],
+    /// The window's decisions, awaiting the barrier commit.
+    pub(crate) pending: &'a mut Vec<DecisionRec>,
+}
+
+impl<'a, 'c> WindowDecider<'a, 'c> {
+    /// A decider for a fresh window: no fork yet, every rank at zero.
+    pub(crate) fn new(
+        policy: &'c dyn ReplicationPolicy,
+        node_seqs: &'a mut [u32],
+        pending: &'a mut Vec<DecisionRec>,
+    ) -> Self {
+        node_seqs.fill(0);
+        WindowDecider {
+            policy,
+            fork: None,
+            node_seqs,
+            pending,
+        }
+    }
+}
+
+impl Decider for WindowDecider<'_, '_> {
+    #[inline]
+    fn decide(&mut self, ln: usize, ctx: &DecisionCtx) -> bool {
+        let policy = self.policy;
+        self.fork
+            .get_or_insert_with(|| policy.fork_epoch())
+            .decide_at(ln, ctx)
+    }
+
+    #[inline]
+    fn decided(&mut self, now: f64, ln: usize, task: &SimTask, replicate: bool, lagged: bool) {
+        let rank = self.node_seqs[ln];
+        self.pending.push(DecisionRec::new(
+            now, task.node, rank, task.id, replicate, lagged,
+        ));
+        self.node_seqs[ln] += 1;
+        if lagged {
+            self.fork
+                .as_mut()
+                .expect("fork exists after a decision")
+                .on_replica_failed_at(ln, &decision_ctx(task));
+        }
+    }
+}
+
 /// Test hooks that deliberately break the shard protocol.
 ///
 /// The `shard-check` model checker must demonstrably be able to *fail*
@@ -406,21 +467,13 @@ pub mod chaos {
 struct ShardState {
     /// First global node id this shard owns.
     first_node: usize,
-    /// Scheduling state per owned node.
-    nodes: Vec<NodeState>,
-    /// FIFO ready queues for the owned nodes (link slots are
-    /// shard-local task indices).
-    ready: ReadyList,
+    /// Dispatch state of the owned nodes (slots are shard-local task
+    /// indices). Its heap holds every pending completion and node
+    /// control of the shard; a window pops the events before its end
+    /// and the rest stay for later windows.
+    ds: DispatchState,
     /// Remaining predecessor count per owned task (local index).
     indegree: Vec<u32>,
-    /// Completed-task records (local index).
-    records: RecordStore,
-    /// Every pending completion `(time, seq, task)` and node control
-    /// `(time, kind, node)` of this shard, packed. A window pops the
-    /// events before its end; the rest stay for later windows.
-    heap: BinaryHeap<Reverse<EventKey>>,
-    /// Tie-break sequence for the heap, assigned at dispatch.
-    seq: u32,
     /// Lookahead mode: pending delayed cross-node activations at exact
     /// effect times — one canonically sorted run per barrier handoff,
     /// drained by horizon at window open (see [`DeliveryCalendar`]).
@@ -442,9 +495,6 @@ struct ShardState {
     /// parallel phase — and handed to the consumer's `delcal` at the
     /// barrier as one message, O(1), buffers swapping back for reuse.
     outboxes: Vec<EventBatch>,
-    /// Delivery events consumed through the window-open cursor this
-    /// run — each one a heap push (and pop) the pre-calendar path paid.
-    deliveries_drained: u64,
     /// Reused permutation scratch for delivery-batch sorts.
     scratch: SortScratch,
     /// Replication decisions taken this window.
@@ -457,9 +507,6 @@ struct ShardState {
     woken: Vec<usize>,
     /// Completions processed so far.
     done: usize,
-    /// Recovery runtime (shard-local node/slot indexing), present only
-    /// when some recovery mechanism is enabled.
-    rt: Option<Box<RecoveryRt>>,
 }
 
 impl ShardState {
@@ -467,7 +514,8 @@ impl ShardState {
     /// control, or a delayed delivery — `+∞` when idle: the shard's
     /// null message at the barrier.
     fn horizon(&self) -> f64 {
-        self.heap
+        self.ds
+            .heap
             .peek()
             .map_or(f64::INFINITY, |&Reverse(k)| k.time())
             .min(self.delcal.min_time())
@@ -491,10 +539,6 @@ pub struct DeliveryStats {
     /// cross-shard messages actually sent. `events_coalesced −
     /// delivery_batches` is the messaging saved by coalescing.
     pub delivery_batches: u64,
-    /// Delivery events consumed through the sorted window-open cursor —
-    /// heap pushes (and pops, and per-event calendar inserts) the
-    /// pre-calendar delivery path paid per event.
-    pub heap_pushes_avoided: u64,
     /// Pooled buffers reused across the barrier handoff (producer and
     /// consumer sides combined) instead of freshly allocated.
     pub batches_recycled: u64,
@@ -637,27 +681,18 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
             let owned_nodes = range.len();
             ShardState {
                 first_node: range.start,
-                nodes: range.map(|_| NodeState::new(&cfg.cluster)).collect(),
-                ready: ReadyList::new(owned_nodes, counts[s]),
+                ds: DispatchState::new(cfg, range.start, owned_nodes, counts[s]),
                 indegree: Vec::with_capacity(counts[s]),
-                records: RecordStore::new(counts[s]),
-                heap: BinaryHeap::new(),
-                seq: 0,
                 delcal: DeliveryCalendar::new(),
                 staged: EventBatch::new(),
                 inbox: EventBatch::new(),
                 outbox: EventBatch::new(),
                 outboxes: (0..map.shards()).map(|_| EventBatch::new()).collect(),
-                deliveries_drained: 0,
                 scratch: SortScratch::default(),
                 decisions: Vec::new(),
                 node_seqs: vec![0; owned_nodes],
                 woken: Vec::new(),
                 done: 0,
-                rt: cfg
-                    .recovery
-                    .any_enabled(&cfg.injection)
-                    .then(|| Box::new(RecoveryRt::new(owned_nodes, counts[s]))),
             }
         })
         .collect();
@@ -671,6 +706,7 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
         if graph.preds(t.id).is_empty() {
             let ln = t.node as usize - shard.first_node;
             shard
+                .ds
                 .ready
                 .push_back(ln, t.id, local_of[t.id as usize] as usize);
         }
@@ -691,21 +727,6 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
             Some(lookahead)
         }
     };
-    // Seed each owned node's first scheduled revocation — pure function
-    // of `(seed, node)`, so every shard layout derives the identical
-    // trace.
-    if let Some(spec) = cfg.recovery.preempt {
-        for (s, shard) in shards.iter_mut().enumerate() {
-            for gn in map.range(s) {
-                shard.heap.push(Reverse(EventKey::control(
-                    spec.first_down(gn as u32),
-                    ControlKind::Preempt,
-                    gn as u32,
-                )));
-            }
-        }
-    }
-
     let threads = shard_cfg.threads.clamp(1, map.shards());
     let cost = cfg.cost.prepare(&cfg.cluster.node);
     let mut window: u64 = 0;
@@ -990,24 +1011,23 @@ fn run_sharded<S: ShardScheduler + ?Sized>(
         for t in tasks {
             let s = map.shard_of(t.node as usize);
             let li = local_of[t.id as usize] as usize;
-            records.push(shards[s].records.get(li, t.id));
+            records.push(shards[s].ds.records.get(li, t.id));
         }
         let makespan = shards
             .iter()
-            .map(|s| s.records.max_completed())
+            .map(|s| s.ds.records.max_completed())
             .fold(0.0f64, f64::max);
         // Per-shard recovery streams merge into one canonical order — the
         // same stream every shard layout produces.
         let mut recovery: Vec<RecoveryRecord> = shards
             .iter_mut()
-            .filter_map(|s| s.rt.take())
+            .filter_map(|s| s.ds.rt.take())
             .flat_map(|rt| rt.into_events())
             .collect();
         sort_canonical(&mut recovery);
 
         stats.windows = barrier;
         for shard in &shards {
-            stats.heap_pushes_avoided += shard.deliveries_drained;
             stats.batches_recycled += shard.delcal.recycled();
         }
 
@@ -1038,33 +1058,34 @@ fn state_fingerprint(
     fnv_step(&mut h, commit_hash);
     fnv_step(&mut h, done as u64);
     for shard in shards {
+        let ds = &shard.ds;
         fnv_step(&mut h, shard.first_node as u64);
-        for ns in &shard.nodes {
+        for ns in &ds.nodes {
             fnv_step(&mut h, ns.free_cores as u64);
             for &t in &ns.spare_free {
                 fnv_step(&mut h, t.to_bits());
             }
         }
-        shard.ready.fold_hash(&mut h);
+        ds.ready.fold_hash(&mut h);
         for &d in &shard.indegree {
             fnv_step(&mut h, u64::from(d));
         }
-        shard.records.fold_hash(&mut h);
+        ds.records.fold_hash(&mut h);
         // The heap's iteration order is unspecified: combine
         // order-insensitively (each key mixed independently, images
         // summed), which is exact because heap *contents* — a set of
         // unique packed keys — are what define the state.
         let mut acc: u64 = 0;
-        for &Reverse(key) in shard.heap.iter() {
+        for &Reverse(key) in ds.heap.iter() {
             let raw = key.raw_bits();
             acc = acc.wrapping_add(splitmix((raw >> 64) as u64 ^ splitmix(raw as u64)));
         }
         fnv_step(&mut h, acc);
-        fnv_step(&mut h, shard.heap.len() as u64);
-        fnv_step(&mut h, u64::from(shard.seq));
+        fnv_step(&mut h, ds.heap.len() as u64);
+        fnv_step(&mut h, u64::from(ds.seq));
         shard.delcal.fold_hash(&mut h);
         shard.inbox.fold_hash(&mut h);
-        if let Some(rt) = &shard.rt {
+        if let Some(rt) = &ds.rt {
             rt.fold_hash(&mut h);
         }
         fnv_step(&mut h, shard.done as u64);
@@ -1113,11 +1134,14 @@ impl Win {
     }
 }
 
-/// Advances one shard through one window.
-fn process_window<'c>(
+/// Advances one shard through one window. Every dispatch goes through
+/// the engines' shared `drain_node` with shard-local slots and the
+/// shard's [`WindowDecider`]; every control event through
+/// `DispatchState::control`.
+fn process_window(
     shard: &mut ShardState,
     graph: &SimGraph,
-    cfg: &'c SimConfig,
+    cfg: &SimConfig,
     cost: &PreparedCost,
     local_of: &[u32],
     map: &ShardMap,
@@ -1125,26 +1149,22 @@ fn process_window<'c>(
 ) {
     let tasks = graph.tasks();
     let w_end = win.w_end();
-    // One policy fork per shard per window, opened lazily on the first
-    // decision so idle shards cost nothing; each node decides through
-    // its own view of it, and `node_seqs` ranks each node's decisions
-    // within the window for the canonical commit order.
-    let mut fork: Option<Box<dyn EpochDecider + 'c>> = None;
-    shard.node_seqs.fill(0);
+    let slot_of = |t: u32| local_of[t as usize] as usize;
+    let mut dec = WindowDecider::new(&*cfg.policy, &mut shard.node_seqs, &mut shard.decisions);
 
     match win {
         Win::Epoch { .. } => {
             // Deliver barrier messages (already in canonical order);
             // readiness is quantized to the barrier. A node woken twice
-            // is listed twice: its second dispatch finds the queue
-            // drained or the cores busy and returns.
+            // is listed twice: its second drain finds the queue empty
+            // or the cores busy and returns.
             for (_, task) in shard.inbox.iter() {
-                let li = local_of[task as usize] as usize;
+                let li = slot_of(task);
                 debug_assert!(shard.indegree[li] > 0, "duplicate activation");
                 shard.indegree[li] -= 1;
                 if shard.indegree[li] == 0 {
                     let ln = tasks[task as usize].node as usize - shard.first_node;
-                    shard.ready.push_back(ln, task, li);
+                    shard.ds.ready.push_back(ln, task, li);
                     shard.woken.push(ln);
                 }
             }
@@ -1164,7 +1184,7 @@ fn process_window<'c>(
 
     // The first window seeds source tasks at t = 0.
     if win.first() {
-        let seeded = (0..shard.nodes.len()).filter(|&ln| shard.ready.front(ln).is_some());
+        let seeded = (0..shard.ds.nodes.len()).filter(|&ln| shard.ds.ready.front(ln).is_some());
         shard.woken.extend(seeded);
     }
     // Barrier-woken dispatches run at the window start; in lookahead
@@ -1174,30 +1194,34 @@ fn process_window<'c>(
         Win::Epoch { window, epoch, .. } => window as f64 * epoch,
         Win::Lookahead { .. } => 0.0,
     };
-    for i in 0..shard.woken.len() {
-        let ln = shard.woken[i];
-        dispatch_node(shard, &mut fork, ln, w_start, graph, cfg, cost, local_of);
+    for &ln in &shard.woken {
+        drain_node(
+            &mut shard.ds,
+            &mut dec,
+            ln,
+            w_start,
+            graph,
+            cfg,
+            cost,
+            slot_of,
+        );
     }
     shard.woken.clear();
 
     // Event loop: pop the heap while its top lies inside the window —
     // later events stay put for a later window — and stream deliveries
-    // from the sorted `staged` batch through a cursor (taken out of
-    // the shard so the loop body can borrow the shard mutably). Merging
-    // is exact: delivery keys are already in ascending canonical order,
+    // from the sorted `staged` batch through a cursor. Merging is
+    // exact: delivery keys are already in ascending canonical order,
     // and at equal timestamps the packed-key compare puts completions
     // first — the same total order one all-in-one heap pops in, minus a
     // push+pop per delivery.
-    let staged_deliveries = std::mem::take(&mut shard.staged);
+    let staged = &shard.staged;
     let mut cursor = 0usize;
     loop {
-        let next_delivery = (cursor < staged_deliveries.len()).then(|| {
-            EventKey::delivery(
-                staged_deliveries.time_at(cursor),
-                staged_deliveries.task_at(cursor),
-            )
-        });
+        let next_delivery = (cursor < staged.len())
+            .then(|| EventKey::delivery(staged.time_at(cursor), staged.task_at(cursor)));
         let next_heap = shard
+            .ds
             .heap
             .peek()
             .map(|&Reverse(k)| k)
@@ -1208,7 +1232,7 @@ fn process_window<'c>(
                 d
             }
             (Some(h), _) => {
-                shard.heap.pop();
+                shard.ds.heap.pop();
                 h
             }
             (None, Some(d)) => {
@@ -1222,105 +1246,38 @@ fn process_window<'c>(
         if key.is_control() {
             // A machine-level happening on one of this shard's nodes
             // (controls never cross shards — recovery is node-local).
-            let gn = id;
-            let ln = gn as usize - shard.first_node;
-            let ShardState {
-                nodes,
-                ready,
-                records,
-                heap,
-                rt,
-                ..
-            } = shard;
-            let r = rt
-                .as_deref_mut()
-                .expect("control events require the recovery runtime");
-            match key.control_kind() {
-                ControlKind::Repair => {
-                    if r.repair_valid(ln, now) {
-                        r.repair(now, gn, ln);
-                        dispatch_node(shard, &mut fork, ln, now, graph, cfg, cost, local_of);
-                    }
-                }
-                ControlKind::Crash => {
-                    if r.crash_valid(ln, now) {
-                        let down = r.kill(
-                            now,
-                            gn,
-                            ln,
-                            cfg.recovery.crash_repair_secs,
-                            RecoveryKind::Crash,
-                            ready,
-                            records,
-                            |t| local_of[t as usize] as usize,
-                        );
-                        let ns = &mut nodes[ln];
-                        ns.free_cores = cfg.cluster.node.cores;
-                        ns.spare_free.fill(down);
-                        heap.push(Reverse(EventKey::control(down, ControlKind::Repair, gn)));
-                    }
-                }
-                ControlKind::Preempt => {
-                    let spec = cfg
-                        .recovery
-                        .preempt
-                        .expect("preempt control without a trace");
-                    let down = r.kill(
-                        now,
-                        gn,
-                        ln,
-                        spec.down_secs,
-                        RecoveryKind::Preempt,
-                        ready,
-                        records,
-                        |t| local_of[t as usize] as usize,
-                    );
-                    let ns = &mut nodes[ln];
-                    ns.free_cores = cfg.cluster.node.cores;
-                    ns.spare_free.fill(down);
-                    heap.push(Reverse(EventKey::control(down, ControlKind::Repair, gn)));
-                    heap.push(Reverse(EventKey::control(
-                        now + spec.period(),
-                        ControlKind::Preempt,
-                        gn,
-                    )));
-                }
+            if let Some(ln) = shard.ds.control(key, shard.first_node, cfg, slot_of) {
+                drain_node(&mut shard.ds, &mut dec, ln, now, graph, cfg, cost, slot_of);
             }
             continue;
         }
         if key.is_delivery() {
             // A delayed cross-node activation arriving at its exact
             // effect time (lookahead mode only).
-            let li = local_of[id as usize] as usize;
+            let li = slot_of(id);
             debug_assert!(shard.indegree[li] > 0, "duplicate activation");
             shard.indegree[li] -= 1;
             if shard.indegree[li] == 0 {
                 let ln = tasks[id as usize].node as usize - shard.first_node;
-                shard.ready.push_back(ln, id, li);
-                dispatch_node(shard, &mut fork, ln, now, graph, cfg, cost, local_of);
+                shard.ds.ready.push_back(ln, id, li);
+                drain_node(&mut shard.ds, &mut dec, ln, now, graph, cfg, cost, slot_of);
             }
             continue;
         }
         let task = &tasks[id as usize];
         let ln = task.node as usize - shard.first_node;
-        if let Some(r) = shard.rt.as_deref_mut() {
-            if !task.is_barrier && !r.complete(ln, local_of[id as usize] as usize, id, now) {
-                // Stale completion of a crash-killed attempt.
-                continue;
-            }
+        if !shard.ds.complete(task, ln, slot_of(id), now) {
+            continue;
         }
         shard.done += 1;
-        if !task.is_barrier {
-            shard.nodes[ln].free_cores += 1;
-        }
         for &succ in graph.succs(id) {
             let st = &tasks[succ as usize];
             if st.node == task.node {
                 // Same node: event-exact activation.
-                let li = local_of[succ as usize] as usize;
+                let li = slot_of(succ);
                 shard.indegree[li] -= 1;
                 if shard.indegree[li] == 0 {
-                    shard.ready.push_back(ln, succ, li);
+                    shard.ds.ready.push_back(ln, succ, li);
                 }
             } else {
                 // Any other node — even on this shard — defers to the
@@ -1337,15 +1294,13 @@ fn process_window<'c>(
                 }
             }
         }
-        dispatch_node(shard, &mut fork, ln, now, graph, cfg, cost, local_of);
+        drain_node(&mut shard.ds, &mut dec, ln, now, graph, cfg, cost, slot_of);
     }
 
-    // Hand the (drained) delivery buffer back for next window's reuse,
-    // and close the window's outboxes: sorting each per-consumer batch
+    // Close the window's outboxes: sorting each per-consumer batch
     // canonically *here* — still in the parallel compute phase — keeps
-    // the single-threaded barrier to O(1) buffer swaps per batch.
-    shard.deliveries_drained += cursor as u64;
-    shard.staged = staged_deliveries;
+    // the single-threaded barrier to O(1) buffer swaps per batch. The
+    // drained delivery buffer stays for next window's reuse.
     shard.staged.clear();
     if matches!(win, Win::Lookahead { .. }) {
         for outbox in &mut shard.outboxes {
@@ -1356,122 +1311,13 @@ fn process_window<'c>(
     }
 }
 
-/// Dispatches everything currently startable on one node, mirroring the
-/// sequential engine's `dispatch_ready` for a single node. Every
-/// completion (and armed crash) goes into the shard's heap with the
-/// next dispatch sequence number, whichever window it lands in.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_node<'c>(
-    shard: &mut ShardState,
-    fork: &mut Option<Box<dyn EpochDecider + 'c>>,
-    ln: usize,
-    now: f64,
-    graph: &SimGraph,
-    cfg: &'c SimConfig,
-    cost: &PreparedCost,
-    local_of: &[u32],
-) {
-    let tasks = graph.tasks();
-    if shard.rt.as_ref().is_some_and(|r| r.is_down(ln)) {
-        // A revoked node dispatches nothing; its repair control
-        // revisits the queue.
-        return;
-    }
-    loop {
-        let Some(front) = shard.ready.front(ln) else {
-            return;
-        };
-        let ns = &mut shard.nodes[ln];
-        if ns.free_cores == 0 && !tasks[front as usize].is_barrier {
-            return;
-        }
-        let id = shard
-            .ready
-            .pop_front(ln, |t| local_of[t as usize] as usize)
-            .expect("nonempty");
-        let task = &tasks[id as usize];
-        let li = local_of[id as usize] as usize;
-        // Crash-killed tasks re-dispatch with their pinned decision —
-        // no fork consultation, no decision record (retries replay a
-        // decision already committed).
-        let retry = shard.rt.as_ref().and_then(|r| r.retry_of(li));
-        let mut decided: Option<bool> = None;
-        let (record, completion, uses_core, fx) = if let Some((count, replicate)) = retry {
-            dispatch_task(graph, task, ns, now, cfg, cost, count * 2, &mut |_| {
-                replicate
-            })
-        } else {
-            let fork = fork.get_or_insert_with(|| cfg.policy.fork_epoch());
-            dispatch_task(graph, task, ns, now, cfg, cost, 0, &mut |ctx| {
-                let replicate = fork.decide_at(ln, ctx);
-                decided = Some(replicate);
-                replicate
-            })
-        };
-        if let Some(replicate) = decided {
-            shard.decisions.push(DecisionRec::new(
-                now,
-                task.node,
-                shard.node_seqs[ln],
-                id,
-                replicate,
-                fx.lagged,
-            ));
-            shard.node_seqs[ln] += 1;
-            if fx.lagged {
-                // Mirror the lag charge on the node's view so later
-                // decisions in this window see it; the global policy
-                // hears about it at commit, in canonical order.
-                fork.as_mut()
-                    .expect("fork exists after a decision")
-                    .on_replica_failed_at(ln, &decision_ctx(task));
-            }
-        }
-        if uses_core {
-            ns.free_cores -= 1;
-        }
-        shard.records.set(li, &record);
-        if let Some(r) = shard.rt.as_deref_mut() {
-            if retry.is_some() {
-                r.note(now, task.node, id, RecoveryKind::Restart);
-            }
-            if fx.ckpt {
-                r.note(fx.ckpt_at, task.node, id, RecoveryKind::Checkpoint);
-            }
-            if fx.lagged {
-                r.note(fx.lag_at, task.node, id, RecoveryKind::ReplicaLag);
-            }
-            if !task.is_barrier {
-                r.track(ln, li, id, completion);
-            }
-            if let Some(crash_at) = fx.crash_at {
-                if r.arm_crash(ln, crash_at) {
-                    shard.heap.push(Reverse(EventKey::control(
-                        crash_at,
-                        ControlKind::Crash,
-                        task.node,
-                    )));
-                }
-            }
-        } else {
-            debug_assert!(
-                fx.crash_at.is_none(),
-                "crash injection requires the recovery runtime: set a non-zero p_crash"
-            );
-        }
-        shard
-            .heap
-            .push(Reverse(EventKey::new(completion, shard.seq, id)));
-        shard.seq += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::graph::SyntheticSpec;
     use crate::machine::{ClusterSpec, NodeSpec};
+    use crate::recovery::RecoveryKind;
     use crate::sim::simulate;
     use appfit_core::{AppFit, AppFitConfig, ReplicateAll, ReplicateNone};
     use fault_inject::{InjectionConfig, NoFaults, SeededInjector};
@@ -1700,9 +1546,7 @@ mod tests {
             );
             assert_eq!(reference, report, "shards={shards}");
             assert_eq!(report.records().len(), g.len());
-            // Every cross-node activation rode a coalesced batch and
-            // the heap-free cursor drain, exactly once each.
-            assert_eq!(stats.events_coalesced, stats.heap_pushes_avoided);
+            // Every cross-node activation rode a coalesced batch.
             assert!(stats.events_coalesced > 0, "graph has cross-node edges");
             assert!(stats.delivery_batches > 0);
             assert!(

@@ -1,10 +1,18 @@
 //! The discrete-event simulation loop.
+//!
+//! The three engines — [`simulate`], [`simulate_delayed`] and the
+//! sharded engine ([`crate::shard`]) — share one dispatch path:
+//! `DispatchState` holds what dispatching mutates, `drain_node` drains
+//! one node's ready list through `dispatch_task`, and
+//! `DispatchState::control` handles every node-control event. The
+//! engines differ only in how a task maps to a record slot, and in how
+//! a drain consults the policy (a `Decider`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use appfit_core::{DecisionCtx, EpochDecider, EpochDecision, ReplicationPolicy};
+use appfit_core::{DecisionCtx, EpochDecision, ReplicationPolicy};
 use fault_inject::{ErrorClass, FaultModel, InjectionConfig, InjectionDecision};
 
 use crate::cost::{CostModel, PreparedCost};
@@ -15,7 +23,7 @@ use crate::ready::ReadyList;
 use crate::records::RecordStore;
 use crate::recovery::{sort_canonical, RecoveryConfig, RecoveryKind, RecoveryRt, RecoveryStrategy};
 use crate::report::{SimReport, SimTaskRecord};
-use crate::shard::{commit_pending, DecisionRec};
+use crate::shard::{commit_pending, WindowDecider};
 
 /// Everything a simulation run needs besides the graph.
 pub struct SimConfig {
@@ -59,22 +67,160 @@ impl NodeState {
     }
 }
 
+/// What every engine mutates while dispatching, over a run of local
+/// nodes: the sequential engines own one over every node (slot = task
+/// id), each shard of the sharded engine one over its own nodes (slot =
+/// shard-local index).
+pub(crate) struct DispatchState {
+    /// Scheduling state per local node.
+    pub(crate) nodes: Vec<NodeState>,
+    /// FIFO ready queues per local node.
+    pub(crate) ready: ReadyList,
+    /// Task records, by slot.
+    pub(crate) records: RecordStore,
+    /// Every pending completion `(time, seq, task)` and node control
+    /// `(time, kind, node)`, packed (plus, in [`simulate_delayed`], the
+    /// delayed deliveries). Later events stay put for later windows.
+    pub(crate) heap: BinaryHeap<Reverse<EventKey>>,
+    /// Tie-break sequence of completions, assigned at dispatch, so
+    /// simultaneous completions pop in dispatch order.
+    pub(crate) seq: u32,
+    /// Recovery runtime, present only when some recovery mechanism can
+    /// fire; without it the engines run exactly the classic loop.
+    pub(crate) rt: Option<Box<RecoveryRt>>,
+}
+
+impl DispatchState {
+    /// Fresh state for the `nodes` nodes from global node `first_node`
+    /// on, with `slots` task slots, and each node's first scheduled
+    /// revocation already in the heap — a pure function of `(seed,
+    /// node)`, so every engine and shard layout derives the identical
+    /// preemption trace.
+    pub(crate) fn new(cfg: &SimConfig, first_node: usize, nodes: usize, slots: usize) -> Self {
+        let mut heap = BinaryHeap::new();
+        if let Some(spec) = cfg.recovery.preempt {
+            for gn in first_node as u32..(first_node + nodes) as u32 {
+                heap.push(Reverse(EventKey::control(
+                    spec.first_down(gn),
+                    ControlKind::Preempt,
+                    gn,
+                )));
+            }
+        }
+        DispatchState {
+            nodes: (0..nodes).map(|_| NodeState::new(&cfg.cluster)).collect(),
+            ready: ReadyList::new(nodes, slots),
+            records: RecordStore::new(slots),
+            heap,
+            seq: 0,
+            rt: cfg
+                .recovery
+                .any_enabled(&cfg.injection)
+                .then(|| Box::new(RecoveryRt::new(nodes, slots))),
+        }
+    }
+
+    /// Accepts a popped completion of `task` (slot `slot` on local node
+    /// `ln`) and releases its core. `false` for the stale completion of
+    /// a crash-killed attempt, which the caller discards without effect.
+    #[inline]
+    pub(crate) fn complete(&mut self, task: &SimTask, ln: usize, slot: usize, now: f64) -> bool {
+        if task.is_barrier {
+            return true;
+        }
+        if let Some(r) = self.rt.as_deref_mut() {
+            if !r.complete(ln, slot, task.id, now) {
+                return false;
+            }
+        }
+        self.nodes[ln].free_cores += 1;
+        true
+    }
+
+    /// Handles a popped control event on a local node (global id minus
+    /// `first_node`). A crash or a preemption kills the node —
+    /// re-enqueueing its in-flight work through `slot_of`, releasing
+    /// its cores and spares — and schedules its repair; a preemption
+    /// also re-arms the next one. Superseded crashes and repairs are
+    /// no-ops. Returns the local node a valid repair brought back,
+    /// which the caller must drain.
+    pub(crate) fn control(
+        &mut self,
+        key: EventKey,
+        first_node: usize,
+        cfg: &SimConfig,
+        slot_of: impl Fn(u32) -> usize,
+    ) -> Option<usize> {
+        let (now, gn) = (key.time(), key.task());
+        let ln = gn as usize - first_node;
+        let r = self
+            .rt
+            .as_deref_mut()
+            .expect("control events require the recovery runtime");
+        let (delay, kind) = match key.control_kind() {
+            ControlKind::Repair => {
+                if !r.repair_valid(ln, now) {
+                    return None;
+                }
+                r.repair(now, gn, ln);
+                return Some(ln);
+            }
+            ControlKind::Crash => {
+                if !r.crash_valid(ln, now) {
+                    return None;
+                }
+                (cfg.recovery.crash_repair_secs, RecoveryKind::Crash)
+            }
+            ControlKind::Preempt => {
+                // Preemption traces are unconditional — the node is
+                // revoked whether busy or idle — and periodic.
+                let spec = cfg
+                    .recovery
+                    .preempt
+                    .expect("preempt control without a trace");
+                self.heap.push(Reverse(EventKey::control(
+                    now + spec.period(),
+                    ControlKind::Preempt,
+                    gn,
+                )));
+                (spec.down_secs, RecoveryKind::Preempt)
+            }
+        };
+        let down = r.kill(
+            now,
+            gn,
+            ln,
+            delay,
+            kind,
+            &mut self.ready,
+            &mut self.records,
+            slot_of,
+        );
+        let ns = &mut self.nodes[ln];
+        ns.free_cores = cfg.cluster.node.cores;
+        ns.spare_free.fill(down);
+        self.heap
+            .push(Reverse(EventKey::control(down, ControlKind::Repair, gn)));
+        None
+    }
+}
+
 /// Recovery-relevant side effects of one [`dispatch_task`] call, beyond
-/// the task record itself. The engine translates them into control
+/// the task record itself. [`drain_node`] translates them into control
 /// events and [`crate::recovery::RecoveryRecord`]s — `dispatch_task`
 /// stays engine-agnostic.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DispatchFx {
+struct DispatchFx {
     /// The dispatch drew a fail-stop crash: the node dies at this time.
-    pub(crate) crash_at: Option<f64>,
+    crash_at: Option<f64>,
     /// Heartbeat detection abandoned the replica.
-    pub(crate) lagged: bool,
+    lagged: bool,
     /// When the lag was detected (valid when `lagged`).
-    pub(crate) lag_at: f64,
+    lag_at: f64,
     /// The node wrote a periodic snapshot before executing.
-    pub(crate) ckpt: bool,
+    ckpt: bool,
     /// When the snapshot was taken (valid when `ckpt`).
-    pub(crate) ckpt_at: f64,
+    ckpt_at: f64,
 }
 
 /// The [`DecisionCtx`] of `task` — rebuilt wherever a policy hook needs
@@ -85,6 +231,82 @@ pub(crate) fn decision_ctx(task: &SimTask) -> DecisionCtx {
         rates: task.rates,
         argument_bytes: task.argument_bytes,
     }
+}
+
+/// How [`drain_node`] consults the replication policy — the one real
+/// difference between the engines. A generic parameter, so each
+/// engine's drain loop is monomorphized.
+pub(crate) trait Decider {
+    /// Decides the first dispatch of a task on local node `ln`.
+    fn decide(&mut self, ln: usize, ctx: &DecisionCtx) -> bool;
+    /// Follows up that decision once the dispatch is known: `lagged`
+    /// when heartbeat detection abandoned the replica.
+    fn decided(&mut self, now: f64, ln: usize, task: &SimTask, replicate: bool, lagged: bool);
+}
+
+/// [`simulate`]'s wiring: the global policy decides in dispatch order
+/// and is charged for an abandoned replica right after the decision.
+struct Sequential<'c>(&'c dyn ReplicationPolicy);
+
+impl Decider for Sequential<'_> {
+    #[inline]
+    fn decide(&mut self, _ln: usize, ctx: &DecisionCtx) -> bool {
+        let replicate = self.0.decide(ctx);
+        self.0.on_complete(ctx, replicate);
+        replicate
+    }
+
+    #[inline]
+    fn decided(&mut self, _now: f64, _ln: usize, task: &SimTask, _replicate: bool, lagged: bool) {
+        if lagged {
+            // The abandoned replica leaves the task effectively
+            // unprotected.
+            self.0.on_replica_failed(&decision_ctx(task));
+        }
+    }
+}
+
+/// The sequential engines' shared setup: one [`DispatchState`] over
+/// every node (slot = task id) with the source tasks queued in
+/// submission order, and each task's predecessor count.
+fn sequential_state(graph: &SimGraph, cfg: &SimConfig) -> (DispatchState, Vec<u32>) {
+    let tasks = graph.tasks();
+    let n = tasks.len();
+    assert!(
+        n < (1 << 31),
+        "the packed event key reserves completion sequence numbers below 2^31"
+    );
+    let nodes = cfg.cluster.nodes;
+    let mut ds = DispatchState::new(cfg, 0, nodes, n);
+    for t in tasks {
+        assert!(
+            (t.node as usize) < nodes,
+            "task {} placed on node {} but the cluster has {nodes}",
+            t.id,
+            t.node
+        );
+        if graph.preds(t.id).is_empty() {
+            ds.ready.push_back(t.node as usize, t.id, t.id as usize);
+        }
+    }
+    let indegree = (0..n as u32).map(|i| graph.preds(i).len() as u32).collect();
+    (ds, indegree)
+}
+
+/// A sequential engine's report: records in task order (slot = task
+/// id) and the canonically sorted recovery stream.
+fn sequential_report(ds: DispatchState, makespan: f64, cfg: &SimConfig) -> SimReport {
+    let mut recovery = ds.rt.map(|r| r.into_events()).unwrap_or_default();
+    sort_canonical(&mut recovery);
+    let records = (0..ds.records.len())
+        .map(|i| ds.records.get(i, i as u32))
+        .collect();
+    SimReport::new(makespan, cfg.cluster.total_cores(), records).with_recovery(recovery)
+}
+
+/// The task id is its own slot in the sequential engines.
+fn id_slot(t: u32) -> usize {
+    t as usize
 }
 
 /// Runs the simulation. Deterministic: ties in the event heap break by
@@ -99,190 +321,56 @@ pub(crate) fn decision_ctx(task: &SimTask) -> DecisionCtx {
 pub fn simulate(graph: &SimGraph, cfg: &SimConfig) -> SimReport {
     let tasks = graph.tasks();
     let n = tasks.len();
-    assert!(
-        n < (1 << 31),
-        "the packed event key reserves completion sequence numbers below 2^31"
-    );
-    let nodes = cfg.cluster.nodes;
-    let mut indegree: Vec<u32> = (0..n as u32).map(|i| graph.preds(i).len() as u32).collect();
-    let mut state: Vec<NodeState> = (0..nodes).map(|_| NodeState::new(&cfg.cluster)).collect();
-    let mut ready = ReadyList::new(nodes, n);
-    let mut records = RecordStore::new(n);
-    // Completion events, packed `(time, seq, task)`. `seq` keeps ties
-    // FIFO.
-    let mut heap: BinaryHeap<Reverse<EventKey>> = BinaryHeap::new();
-    let mut seq = 0u32;
-    let mut makespan = 0.0f64;
+    let (mut ds, mut indegree) = sequential_state(graph, cfg);
+    let mut dec = Sequential(&*cfg.policy);
     let cost = cfg.cost.prepare(&cfg.cluster.node);
-    // The recovery runtime exists only when some recovery mechanism can
-    // fire; without it the loop is exactly the classic engine.
-    let mut rt: Option<Box<RecoveryRt>> = cfg
-        .recovery
-        .any_enabled(&cfg.injection)
-        .then(|| Box::new(RecoveryRt::new(nodes, n)));
-    if rt.is_some() {
-        if let Some(spec) = cfg.recovery.preempt {
-            for node in 0..nodes as u32 {
-                heap.push(Reverse(EventKey::control(
-                    spec.first_down(node),
-                    ControlKind::Preempt,
-                    node,
-                )));
-            }
-        }
-    }
-
-    for t in tasks {
-        assert!(
-            (t.node as usize) < nodes,
-            "task {} placed on node {} but the cluster has {nodes}",
-            t.id,
-            t.node
-        );
-        if graph.preds(t.id).is_empty() {
-            ready.push_back(t.node as usize, t.id, t.id as usize);
-        }
-    }
+    let mut makespan = 0.0f64;
 
     // Seed dispatch visits every node; afterwards only woken nodes.
-    let mut woken: Vec<u32> = (0..nodes as u32).collect();
-    dispatch_ready(
-        graph,
-        &mut state,
-        &mut ready,
-        &woken,
-        &mut heap,
-        &mut seq,
-        &mut records,
-        0.0,
-        cfg,
-        &cost,
-        &mut rt,
-    );
-
+    for node in 0..cfg.cluster.nodes {
+        drain_node(&mut ds, &mut dec, node, 0.0, graph, cfg, &cost, id_slot);
+    }
+    let mut woken: Vec<u32> = Vec::new();
     let mut done = 0usize;
-    while let Some(Reverse(key)) = heap.pop() {
+    while let Some(Reverse(key)) = ds.heap.pop() {
         let now = key.time();
         if key.is_control() {
-            let node = key.task() as usize;
-            let r = rt
-                .as_deref_mut()
-                .expect("control events require the recovery runtime");
-            match key.control_kind() {
-                ControlKind::Repair => {
-                    if r.repair_valid(node, now) {
-                        r.repair(now, node as u32, node);
-                        woken.clear();
-                        woken.push(node as u32);
-                        dispatch_ready(
-                            graph,
-                            &mut state,
-                            &mut ready,
-                            &woken,
-                            &mut heap,
-                            &mut seq,
-                            &mut records,
-                            now,
-                            cfg,
-                            &cost,
-                            &mut rt,
-                        );
-                    }
-                }
-                ControlKind::Crash => {
-                    if r.crash_valid(node, now) {
-                        let down = r.kill(
-                            now,
-                            node as u32,
-                            node,
-                            cfg.recovery.crash_repair_secs,
-                            RecoveryKind::Crash,
-                            &mut ready,
-                            &mut records,
-                            |t| t as usize,
-                        );
-                        let ns = &mut state[node];
-                        ns.free_cores = cfg.cluster.node.cores;
-                        ns.spare_free.fill(down);
-                        heap.push(Reverse(EventKey::control(
-                            down,
-                            ControlKind::Repair,
-                            node as u32,
-                        )));
-                    }
-                }
-                ControlKind::Preempt => {
-                    // Preemption traces are unconditional — the node is
-                    // revoked whether busy or idle — and periodic.
-                    let spec = cfg
-                        .recovery
-                        .preempt
-                        .expect("preempt control without a trace");
-                    let down = r.kill(
-                        now,
-                        node as u32,
-                        node,
-                        spec.down_secs,
-                        RecoveryKind::Preempt,
-                        &mut ready,
-                        &mut records,
-                        |t| t as usize,
-                    );
-                    let ns = &mut state[node];
-                    ns.free_cores = cfg.cluster.node.cores;
-                    ns.spare_free.fill(down);
-                    heap.push(Reverse(EventKey::control(
-                        down,
-                        ControlKind::Repair,
-                        node as u32,
-                    )));
-                    heap.push(Reverse(EventKey::control(
-                        now + spec.period(),
-                        ControlKind::Preempt,
-                        node as u32,
-                    )));
-                }
+            if let Some(node) = ds.control(key, 0, cfg, id_slot) {
+                drain_node(&mut ds, &mut dec, node, now, graph, cfg, &cost, id_slot);
             }
             continue;
         }
         let id = key.task();
         let task = &tasks[id as usize];
-        if let Some(r) = rt.as_deref_mut() {
-            if !task.is_barrier && !r.complete(task.node as usize, id as usize, id, now) {
-                // Stale completion of a crash-killed attempt.
-                continue;
-            }
+        if !ds.complete(task, task.node as usize, id as usize, now) {
+            continue;
         }
         done += 1;
         makespan = makespan.max(now);
         woken.clear();
         woken.push(task.node);
-        if !task.is_barrier {
-            state[task.node as usize].free_cores += 1;
-        }
         for &s in graph.succs(id) {
             indegree[s as usize] -= 1;
             if indegree[s as usize] == 0 {
                 let owner = tasks[s as usize].node;
-                ready.push_back(owner as usize, s, s as usize);
+                ds.ready.push_back(owner as usize, s, s as usize);
                 woken.push(owner);
             }
         }
         woken.sort_unstable();
         woken.dedup();
-        dispatch_ready(
-            graph,
-            &mut state,
-            &mut ready,
-            &woken,
-            &mut heap,
-            &mut seq,
-            &mut records,
-            now,
-            cfg,
-            &cost,
-            &mut rt,
-        );
+        for &node in &woken {
+            drain_node(
+                &mut ds,
+                &mut dec,
+                node as usize,
+                now,
+                graph,
+                cfg,
+                &cost,
+                id_slot,
+            );
+        }
         if done == n {
             // Preemption traces schedule controls forever; stop at the
             // last real completion.
@@ -290,15 +378,7 @@ pub fn simulate(graph: &SimGraph, cfg: &SimConfig) -> SimReport {
         }
     }
     assert_eq!(done, n, "cycle or lost task in simulation graph");
-
-    let mut recovery = rt.map(|r| r.into_events()).unwrap_or_default();
-    sort_canonical(&mut recovery);
-    SimReport::new(
-        makespan,
-        cfg.cluster.total_cores(),
-        (0..n).map(|i| records.get(i, i as u32)).collect(),
-    )
-    .with_recovery(recovery)
+    sequential_report(ds, makespan, cfg)
 }
 
 /// The sequential reference of the **conservative-lookahead
@@ -317,8 +397,11 @@ pub fn simulate(graph: &SimGraph, cfg: &SimConfig) -> SimReport {
 /// semantics [`crate::shard::simulate_sharded`] implements with
 /// per-shard heaps and null-message windows — the cross-engine
 /// conformance harness (`tests/conformance.rs`) asserts the two agree
-/// **bit for bit** at every shard count. `lookahead` must be positive
-/// and finite.
+/// **bit for bit** at every shard count. Its event loop, window
+/// schedule and delivery handling are written independently of the
+/// sharded engine's; only dispatch (`drain_node`), control handling
+/// (`DispatchState::control`) and the barrier commit (`commit_pending`)
+/// are shared. `lookahead` must be positive and finite.
 pub fn simulate_delayed(graph: &SimGraph, cfg: &SimConfig, lookahead: f64) -> SimReport {
     assert!(
         lookahead > 0.0 && lookahead.is_finite(),
@@ -326,75 +409,35 @@ pub fn simulate_delayed(graph: &SimGraph, cfg: &SimConfig, lookahead: f64) -> Si
     );
     let tasks = graph.tasks();
     let n = tasks.len();
-    assert!(
-        n < (1 << 31),
-        "the packed event key reserves completion sequence numbers below 2^31"
-    );
-    let nodes = cfg.cluster.nodes;
-    let mut indegree: Vec<u32> = (0..n as u32).map(|i| graph.preds(i).len() as u32).collect();
+    let (mut ds, mut indegree) = sequential_state(graph, cfg);
     let mut makespan = 0.0f64;
     let cost = cfg.cost.prepare(&cfg.cluster.node);
     let mut committed: Vec<EpochDecision> = Vec::new();
     // Policy windows: one fork per window with one view per node,
     // committed at the horizon barrier in canonical order (shared with
     // the sharded engine via `commit_pending`).
-    let mut dw = DelayedState {
-        state: (0..nodes).map(|_| NodeState::new(&cfg.cluster)).collect(),
-        ready: ReadyList::new(nodes, n),
-        heap: BinaryHeap::new(),
-        seq: 0,
-        records: RecordStore::new(n),
-        fork: None,
-        node_seqs: vec![0; nodes],
-        pending: Vec::new(),
-        rt: cfg
-            .recovery
-            .any_enabled(&cfg.injection)
-            .then(|| Box::new(RecoveryRt::new(nodes, n))),
-    };
-    if dw.rt.is_some() {
-        if let Some(spec) = cfg.recovery.preempt {
-            for node in 0..nodes as u32 {
-                dw.heap.push(Reverse(EventKey::control(
-                    spec.first_down(node),
-                    ControlKind::Preempt,
-                    node,
-                )));
-            }
-        }
-    }
-
-    for t in tasks {
-        assert!(
-            (t.node as usize) < nodes,
-            "task {} placed on node {} but the cluster has {nodes}",
-            t.id,
-            t.node
-        );
-        if graph.preds(t.id).is_empty() {
-            dw.ready.push_back(t.node as usize, t.id, t.id as usize);
-        }
-    }
+    let (mut node_seqs, mut pending) = (vec![0; cfg.cluster.nodes], Vec::new());
+    let mut dec = WindowDecider::new(&*cfg.policy, &mut node_seqs, &mut pending);
 
     // Seed window: dispatch every node with ready sources at t = 0.
-    for node in 0..nodes {
-        dispatch_node_delayed(node, 0.0, graph, cfg, &cost, &mut dw);
+    for node in 0..cfg.cluster.nodes {
+        drain_node(&mut ds, &mut dec, node, 0.0, graph, cfg, &cost, id_slot);
     }
 
     // First window ends one lookahead past the t = 0 seed horizon —
     // the same schedule the sharded engine derives.
     let mut w_end = lookahead;
     let mut done = 0usize;
-    while let Some(&Reverse(peek)) = dw.heap.peek() {
+    while let Some(&Reverse(peek)) = ds.heap.peek() {
         if peek.time() >= w_end {
             // Horizon barrier: commit this window's decisions in
             // canonical order, drop the fork, extend the window one
             // lookahead past the earliest pending event. Control
             // events join the horizon min-fold exactly as in the
             // sharded engine — they sit in the same heap.
-            commit_pending(&*cfg.policy, tasks, &mut dw.pending, &mut committed);
-            dw.fork = None;
-            dw.node_seqs.fill(0);
+            commit_pending(&*cfg.policy, tasks, dec.pending, &mut committed);
+            dec.fork = None;
+            dec.node_seqs.fill(0);
             let horizon = peek.time();
             w_end = horizon + lookahead;
             if w_end <= horizon {
@@ -403,79 +446,11 @@ pub fn simulate_delayed(graph: &SimGraph, cfg: &SimConfig, lookahead: f64) -> Si
             }
             continue;
         }
-        let Reverse(key) = dw.heap.pop().expect("peeked");
+        let Reverse(key) = ds.heap.pop().expect("peeked");
         let now = key.time();
         if key.is_control() {
-            let node = key.task() as usize;
-            let DelayedState {
-                state,
-                ready,
-                heap,
-                records,
-                rt,
-                ..
-            } = &mut dw;
-            let r = rt
-                .as_deref_mut()
-                .expect("control events require the recovery runtime");
-            match key.control_kind() {
-                ControlKind::Repair => {
-                    if r.repair_valid(node, now) {
-                        r.repair(now, node as u32, node);
-                        dispatch_node_delayed(node, now, graph, cfg, &cost, &mut dw);
-                    }
-                }
-                ControlKind::Crash => {
-                    if r.crash_valid(node, now) {
-                        let down = r.kill(
-                            now,
-                            node as u32,
-                            node,
-                            cfg.recovery.crash_repair_secs,
-                            RecoveryKind::Crash,
-                            ready,
-                            records,
-                            |t| t as usize,
-                        );
-                        let ns = &mut state[node];
-                        ns.free_cores = cfg.cluster.node.cores;
-                        ns.spare_free.fill(down);
-                        heap.push(Reverse(EventKey::control(
-                            down,
-                            ControlKind::Repair,
-                            node as u32,
-                        )));
-                    }
-                }
-                ControlKind::Preempt => {
-                    let spec = cfg
-                        .recovery
-                        .preempt
-                        .expect("preempt control without a trace");
-                    let down = r.kill(
-                        now,
-                        node as u32,
-                        node,
-                        spec.down_secs,
-                        RecoveryKind::Preempt,
-                        ready,
-                        records,
-                        |t| t as usize,
-                    );
-                    let ns = &mut state[node];
-                    ns.free_cores = cfg.cluster.node.cores;
-                    ns.spare_free.fill(down);
-                    heap.push(Reverse(EventKey::control(
-                        down,
-                        ControlKind::Repair,
-                        node as u32,
-                    )));
-                    heap.push(Reverse(EventKey::control(
-                        now + spec.period(),
-                        ControlKind::Preempt,
-                        node as u32,
-                    )));
-                }
+            if let Some(node) = ds.control(key, 0, cfg, id_slot) {
+                drain_node(&mut ds, &mut dec, node, now, graph, cfg, &cost, id_slot);
             }
             continue;
         }
@@ -486,142 +461,102 @@ pub fn simulate_delayed(graph: &SimGraph, cfg: &SimConfig, lookahead: f64) -> Si
             indegree[id as usize] -= 1;
             if indegree[id as usize] == 0 {
                 let owner = tasks[id as usize].node as usize;
-                dw.ready.push_back(owner, id, id as usize);
-                dispatch_node_delayed(owner, now, graph, cfg, &cost, &mut dw);
+                ds.ready.push_back(owner, id, id as usize);
+                drain_node(&mut ds, &mut dec, owner, now, graph, cfg, &cost, id_slot);
             }
             continue;
         }
         let task = &tasks[id as usize];
         let node = task.node as usize;
-        if let Some(r) = dw.rt.as_deref_mut() {
-            if !task.is_barrier && !r.complete(node, id as usize, id, now) {
-                // Stale completion of a crash-killed attempt.
-                continue;
-            }
+        if !ds.complete(task, node, id as usize, now) {
+            continue;
         }
         done += 1;
         makespan = makespan.max(now);
-        if !task.is_barrier {
-            dw.state[node].free_cores += 1;
-        }
         for &s in graph.succs(id) {
             if tasks[s as usize].node == task.node {
                 indegree[s as usize] -= 1;
                 if indegree[s as usize] == 0 {
-                    dw.ready.push_back(node, s, s as usize);
+                    ds.ready.push_back(node, s, s as usize);
                 }
             } else {
                 // Cross-node activation: visible one lookahead later,
                 // at its exact effect time.
-                dw.heap
+                ds.heap
                     .push(Reverse(EventKey::delivery(now + lookahead, s)));
             }
         }
-        dispatch_node_delayed(node, now, graph, cfg, &cost, &mut dw);
+        drain_node(&mut ds, &mut dec, node, now, graph, cfg, &cost, id_slot);
         if done == n {
             // Preemption traces schedule controls forever; stop at the
             // last real completion.
             break;
         }
     }
-    commit_pending(&*cfg.policy, tasks, &mut dw.pending, &mut committed);
+    commit_pending(&*cfg.policy, tasks, dec.pending, &mut committed);
     assert_eq!(done, n, "cycle or lost task in simulation graph");
-
-    let mut recovery = dw.rt.map(|r| r.into_events()).unwrap_or_default();
-    sort_canonical(&mut recovery);
-    SimReport::new(
-        makespan,
-        cfg.cluster.total_cores(),
-        (0..n).map(|i| dw.records.get(i, i as u32)).collect(),
-    )
-    .with_recovery(recovery)
+    sequential_report(ds, makespan, cfg)
 }
 
-/// Mutable per-run state of [`simulate_delayed`], bundled so the
-/// dispatch helper can borrow it as one unit.
-struct DelayedState<'c> {
-    state: Vec<NodeState>,
-    ready: ReadyList,
-    heap: BinaryHeap<Reverse<EventKey>>,
-    seq: u32,
-    records: RecordStore,
-    fork: Option<Box<dyn EpochDecider + 'c>>,
-    node_seqs: Vec<u32>,
-    pending: Vec<DecisionRec>,
-    rt: Option<Box<RecoveryRt>>,
-}
-
-/// [`simulate_delayed`]'s per-node dispatch: the sharded engine's
-/// `dispatch_node` on global state — same fork consultation, same
-/// decision recording, completions straight into the single heap.
-fn dispatch_node_delayed<'c>(
-    node: usize,
+/// Drains local node `ln`'s ready list at `now` — the one dispatch loop
+/// of all three engines. While a core is free (barriers need none) it
+/// pops the front task, computes its timeline with [`dispatch_task`]
+/// (first attempts decided by `dec`, crash retries replaying their
+/// pinned decision), records it under `slot_of(id)`, tracks it for
+/// recovery, and pushes its completion — and any crash it armed — into
+/// the heap with the next dispatch sequence number. A revoked node
+/// dispatches nothing; its repair control drains it again.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drain_node<D: Decider>(
+    ds: &mut DispatchState,
+    dec: &mut D,
+    ln: usize,
     now: f64,
     graph: &SimGraph,
-    cfg: &'c SimConfig,
+    cfg: &SimConfig,
     cost: &PreparedCost,
-    dw: &mut DelayedState<'c>,
+    slot_of: impl Fn(u32) -> usize + Copy,
 ) {
     let tasks = graph.tasks();
-    let DelayedState {
-        state,
+    let DispatchState {
+        nodes,
         ready,
+        records,
         heap,
         seq,
-        records,
-        fork,
-        node_seqs,
-        pending,
         rt,
-    } = dw;
-    if rt.as_ref().is_some_and(|r| r.is_down(node)) {
-        // A revoked node dispatches nothing; its repair control
-        // revisits the queue.
+    } = ds;
+    if rt.as_ref().is_some_and(|r| r.is_down(ln)) {
         return;
     }
-    while let Some(front) = ready.front(node) {
-        let ns = &mut state[node];
+    let ns = &mut nodes[ln];
+    while let Some(front) = ready.front(ln) {
         if ns.free_cores == 0 && !tasks[front as usize].is_barrier {
             break;
         }
-        let id = ready.pop_front(node, |t| t as usize).expect("nonempty");
+        let id = ready.pop_front(ln, slot_of).expect("nonempty");
         let task = &tasks[id as usize];
-        let slot = id as usize;
-        // Crash-killed tasks re-dispatch with their pinned decision —
-        // no fork consultation, no decision record (retries replay a
-        // decision already committed).
+        let slot = slot_of(id);
+        // Crash-killed tasks re-dispatch with their pinned decision and
+        // a bumped attempt base — no policy consultation, no decision
+        // follow-up (a retry replays a decision already taken).
         let retry = rt.as_ref().and_then(|r| r.retry_of(slot));
-        let mut decided: Option<bool> = None;
-        let (record, completion, uses_core, fx) = if let Some((count, replicate)) = retry {
-            dispatch_task(graph, task, ns, now, cfg, cost, count * 2, &mut |_| {
-                replicate
-            })
-        } else {
-            let fork = fork.get_or_insert_with(|| cfg.policy.fork_epoch());
-            dispatch_task(graph, task, ns, now, cfg, cost, 0, &mut |ctx| {
-                let replicate = fork.decide_at(node, ctx);
-                decided = Some(replicate);
-                replicate
-            })
-        };
-        if let Some(replicate) = decided {
-            pending.push(DecisionRec::new(
-                now,
-                task.node,
-                node_seqs[node],
-                id,
-                replicate,
-                fx.lagged,
-            ));
-            node_seqs[node] += 1;
-            if fx.lagged {
-                // Mirror the lag charge on the node's view so later
-                // decisions in this window see it; the global policy
-                // hears about it at commit, in canonical order.
-                fork.as_mut()
-                    .expect("fork exists after a decision")
-                    .on_replica_failed_at(node, &decision_ctx(task));
-            }
+        let attempt_base = retry.map_or(0, |(count, _)| count * 2);
+        let (record, completion, uses_core, fx) = dispatch_task(
+            graph,
+            task,
+            ns,
+            now,
+            cfg,
+            cost,
+            attempt_base,
+            |ctx| match retry {
+                Some((_, replicate)) => replicate,
+                None => dec.decide(ln, ctx),
+            },
+        );
+        if retry.is_none() && !task.is_barrier {
+            dec.decided(now, ln, task, record.replicated, fx.lagged);
         }
         records.set(slot, &record);
         if uses_core {
@@ -638,10 +573,10 @@ fn dispatch_node_delayed<'c>(
                 r.note(fx.lag_at, task.node, id, RecoveryKind::ReplicaLag);
             }
             if !task.is_barrier {
-                r.track(node, slot, id, completion);
+                r.track(ln, slot, id, completion);
             }
             if let Some(crash_at) = fx.crash_at {
-                if r.arm_crash(node, crash_at) {
+                if r.arm_crash(ln, crash_at) {
                     heap.push(Reverse(EventKey::control(
                         crash_at,
                         ControlKind::Crash,
@@ -660,115 +595,25 @@ fn dispatch_node_delayed<'c>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_ready(
-    graph: &SimGraph,
-    state: &mut [NodeState],
-    ready: &mut ReadyList,
-    woken: &[u32],
-    heap: &mut BinaryHeap<Reverse<EventKey>>,
-    seq: &mut u32,
-    records: &mut RecordStore,
-    now: f64,
-    cfg: &SimConfig,
-    cost: &PreparedCost,
-    rt: &mut Option<Box<RecoveryRt>>,
-) {
-    let tasks = graph.tasks();
-    for &node in woken {
-        if rt.as_ref().is_some_and(|r| r.is_down(node as usize)) {
-            // A revoked node dispatches nothing; its repair control
-            // revisits the queue.
-            continue;
-        }
-        let ns = &mut state[node as usize];
-        while let Some(front) = ready.front(node as usize) {
-            if ns.free_cores == 0 && !tasks[front as usize].is_barrier {
-                break;
-            }
-            let id = ready
-                .pop_front(node as usize, |t| t as usize)
-                .expect("nonempty");
-            let task = &tasks[id as usize];
-            let slot = id as usize;
-            // Crash-killed tasks re-dispatch with their pinned decision
-            // (no fresh policy consultation) and a bumped attempt base.
-            let retry = rt.as_ref().and_then(|r| r.retry_of(slot));
-            let (record, completion, uses_core, fx) = if let Some((count, replicate)) = retry {
-                dispatch_task(graph, task, ns, now, cfg, cost, count * 2, &mut |_| {
-                    replicate
-                })
-            } else {
-                dispatch_task(graph, task, ns, now, cfg, cost, 0, &mut |ctx| {
-                    let replicate = cfg.policy.decide(ctx);
-                    cfg.policy.on_complete(ctx, replicate);
-                    replicate
-                })
-            };
-            if fx.lagged && retry.is_none() {
-                // The abandoned replica leaves the task effectively
-                // unprotected — charge the policy right after its
-                // decision, in dispatch order.
-                cfg.policy.on_replica_failed(&decision_ctx(task));
-            }
-            records.set(slot, &record);
-            if uses_core {
-                ns.free_cores -= 1;
-            }
-            if let Some(r) = rt.as_deref_mut() {
-                if retry.is_some() {
-                    r.note(now, task.node, id, RecoveryKind::Restart);
-                }
-                if fx.ckpt {
-                    r.note(fx.ckpt_at, task.node, id, RecoveryKind::Checkpoint);
-                }
-                if fx.lagged {
-                    r.note(fx.lag_at, task.node, id, RecoveryKind::ReplicaLag);
-                }
-                if !task.is_barrier {
-                    r.track(node as usize, slot, id, completion);
-                }
-                if let Some(crash_at) = fx.crash_at {
-                    if r.arm_crash(node as usize, crash_at) {
-                        heap.push(Reverse(EventKey::control(
-                            crash_at,
-                            ControlKind::Crash,
-                            task.node,
-                        )));
-                    }
-                }
-            } else {
-                debug_assert!(
-                    fx.crash_at.is_none(),
-                    "crash injection requires the recovery runtime: set a non-zero p_crash"
-                );
-            }
-            heap.push(Reverse(EventKey::new(completion, *seq, id)));
-            *seq += 1;
-        }
-    }
-}
-
 /// Computes one task's virtual timeline. Returns its record, its
 /// completion time, whether it occupied a worker core (the core is
 /// held until completion — the original waits at the end-of-task
 /// synchronization point, as in the paper's design), and the dispatch's
 /// recovery side effects ([`DispatchFx`]).
 ///
-/// The replication decision is delegated to `decide` so the two engines
-/// can plug in their own policy wiring: the sequential engine consults
-/// the global policy directly (decisions in global dispatch order), the
-/// sharded engine consults the node's view in a window fork (decisions
-/// committed at the next barrier). Everything else — transfers, contention
-/// snapshot, protection and recovery timing — is this one shared code
-/// path, which is what makes the engines bit-comparable.
+/// The replication decision is delegated to `decide` (called once, for
+/// non-barrier tasks only) so each engine plugs in its own policy
+/// wiring through [`drain_node`]'s [`Decider`]. Everything else —
+/// transfers, contention snapshot, protection and recovery timing — is
+/// this one shared code path, which is what makes the engines
+/// bit-comparable.
 ///
 /// `attempt_base` is 0 for first dispatches and `2 × retry count` for
 /// re-dispatches of crash-lost tasks, so every attempt draws a fresh,
 /// reproducible fault stream (the replica, when present, draws at
 /// `attempt_base + 1`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_task(
+fn dispatch_task(
     graph: &SimGraph,
     task: &SimTask,
     ns: &mut NodeState,
@@ -776,7 +621,7 @@ pub(crate) fn dispatch_task(
     cfg: &SimConfig,
     cost: &PreparedCost,
     attempt_base: u32,
-    decide: &mut dyn FnMut(&DecisionCtx) -> bool,
+    decide: impl FnOnce(&DecisionCtx) -> bool,
 ) -> (SimTaskRecord, f64, bool, DispatchFx) {
     let mut rec = SimTaskRecord {
         task: task.id,

@@ -5,7 +5,9 @@
 //!   the set of tasks that were in flight on the crashed machine at
 //!   `T` — nothing lost, nothing spuriously retried;
 //! * the post-recovery App_FIT trajectory is bit-identical across
-//!   {1, 2, 7} shards in **both** synchronization modes.
+//!   {1, 2, 7} shards in **both** synchronization modes;
+//! * on a single node, the sequential engine and the one-shard epoch
+//!   engine agree bit for bit under every recovery event type.
 //!
 //! The crash is scripted through a [`FaultPlan`] (attempt-keyed, fires
 //! once), with a non-zero `p_crash` in the injection config so the
@@ -15,12 +17,13 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use appfit_core::{AppFit, AppFitConfig, ReplicateNone};
+use appfit_core::{AppFit, AppFitConfig, RandomPolicy, ReplicateAll, ReplicateNone};
 use cluster_sim::{
-    simulate, simulate_delayed, simulate_sharded, ClusterSpec, CostModel, NodeSpec, RecoveryConfig,
-    RecoveryKind, ShardedConfig, SimConfig, SimGraph, SyntheticSpec,
+    simulate, simulate_delayed, simulate_sharded, ClusterSpec, CostModel, NodeSpec, PreemptSpec,
+    RecoveryConfig, RecoveryKind, RecoveryStrategy, ShardedConfig, SimConfig, SimGraph,
+    SyntheticSpec,
 };
-use fault_inject::{ErrorClass, FaultPlan, InjectionConfig, NoFaults};
+use fault_inject::{ErrorClass, FaultPlan, InjectionConfig, NoFaults, SeededInjector};
 use fit_model::{Fit, RateModel};
 
 fn cluster(nodes: usize) -> ClusterSpec {
@@ -219,5 +222,130 @@ fn post_recovery_appfit_trajectory_is_layout_invariant() {
         let (report, bits) = run(Some((shards, Some(lookahead))), None);
         assert_eq!(la_ref_report, report, "lookahead report, shards={shards}");
         assert_eq!(la_ref_bits, bits, "lookahead App_FIT bits, shards={shards}");
+    }
+}
+
+/// On a single node the sequential engine and the one-shard epoch
+/// engine must agree bit for bit under every recovery event type —
+/// crash, preemption, heartbeat lag and checkpoint/restart, each with
+/// the policy `tests/conformance.rs` pairs it with — so the sequential
+/// decision wiring (decide at dispatch) and the windowed one (fork
+/// views committed at the barrier) stay interchangeable on every
+/// control path. Reports embed the canonical recovery stream; App_FIT's
+/// accumulated state is compared through its bits.
+#[test]
+fn single_node_sequential_matches_epoch_under_every_recovery_kind() {
+    let g = SimGraph::synthetic(
+        &SyntheticSpec {
+            nodes: 1,
+            chains_per_node: 4,
+            tasks_per_chain: 30,
+            flops_per_task: 2.5,
+            jitter: 0.25,
+            argument_bytes: 4096,
+            cross_node_every: 0,
+            seed: 5,
+        },
+        &RateModel::roadrunner(),
+    );
+    let total: f64 = g.tasks().iter().map(|t| t.rates.total().value()).sum();
+    let n = g.tasks().iter().filter(|t| !t.is_barrier).count() as u64;
+    let profiles = [
+        (
+            "crash",
+            RecoveryKind::Crash,
+            31,
+            0.08,
+            RecoveryConfig {
+                crash_repair_secs: 5.0,
+                ..RecoveryConfig::default()
+            },
+        ),
+        (
+            "preempt",
+            RecoveryKind::Preempt,
+            7,
+            0.0,
+            RecoveryConfig {
+                crash_repair_secs: 5.0,
+                preempt: Some(PreemptSpec {
+                    up_secs: 60.0,
+                    down_secs: 4.0,
+                    seed: 3,
+                }),
+                ..RecoveryConfig::default()
+            },
+        ),
+        (
+            "heartbeat",
+            RecoveryKind::ReplicaLag,
+            13,
+            0.0,
+            RecoveryConfig {
+                heartbeat_secs: Some(0.5),
+                ..RecoveryConfig::default()
+            },
+        ),
+        (
+            "checkpoint",
+            RecoveryKind::Checkpoint,
+            19,
+            0.02,
+            RecoveryConfig {
+                crash_repair_secs: 5.0,
+                strategy: RecoveryStrategy::Checkpoint {
+                    interval_secs: 6.0,
+                    snapshot_bytes: 4096,
+                },
+                ..RecoveryConfig::default()
+            },
+        ),
+    ];
+    for (name, kind, seed, p_crash, recovery) in profiles {
+        let run = |sharded: bool| {
+            let appfit = Arc::new(AppFit::new(AppFitConfig::new(Fit::new(total * 0.5), n)));
+            let policy: Arc<dyn appfit_core::ReplicationPolicy> = match name {
+                "crash" => Arc::clone(&appfit) as _,
+                "preempt" => Arc::new(RandomPolicy::new(0.4, 77)),
+                "heartbeat" => Arc::new(ReplicateAll),
+                _ => Arc::new(ReplicateNone),
+            };
+            let cfg = SimConfig {
+                cluster: cluster(1),
+                cost: CostModel::default(),
+                policy,
+                faults: Arc::new(SeededInjector::new(seed)),
+                injection: InjectionConfig::PerTask {
+                    p_due: 0.04,
+                    p_sdc: 0.06,
+                    p_crash,
+                },
+                recovery,
+            };
+            let report = if sharded {
+                simulate_sharded(&g, &cfg, &ShardedConfig::auto(&g, &cfg, 1))
+            } else {
+                simulate(&g, &cfg)
+            };
+            let bits = (
+                appfit.current_fit().value().to_bits(),
+                appfit.decided(),
+                appfit.replicated(),
+            );
+            (report, bits)
+        };
+        let (reference, ref_bits) = run(false);
+        assert!(
+            reference.recovery().iter().any(|r| r.kind == kind),
+            "{name}: the profile must produce a {kind:?} event"
+        );
+        let (got, bits) = run(true);
+        assert_eq!(
+            reference.recovery(),
+            got.recovery(),
+            "{name}: recovery stream"
+        );
+        assert_eq!(reference, got, "{name}: report");
+        assert_eq!(ref_bits, bits, "{name}: App_FIT bits");
     }
 }

@@ -324,12 +324,8 @@ pub fn to_wire(r: &BenchResult) -> String {
     );
     if let Some(d) = &r.delivery {
         line.push_str(&format!(
-            " delivery={},{},{},{},{}",
-            d.events_coalesced,
-            d.delivery_batches,
-            d.heap_pushes_avoided,
-            d.batches_recycled,
-            d.windows
+            " delivery={},{},{},{}",
+            d.events_coalesced, d.delivery_batches, d.batches_recycled, d.windows
         ));
     }
     line
@@ -369,13 +365,12 @@ pub fn from_wire(line: &str) -> Result<BenchResult, String> {
                     .split(',')
                     .map(|p| p.parse().map_err(|e| format!("{k}: {e}")))
                     .collect::<Result<_, _>>()?;
-                let [coalesced, batches, avoided, recycled, windows] = parts[..] else {
-                    return Err(format!("delivery wants 5 counters, got `{v}`"));
+                let [coalesced, batches, recycled, windows] = parts[..] else {
+                    return Err(format!("delivery wants 4 counters, got `{v}`"));
                 };
                 r.delivery = Some(cluster_sim::DeliveryStats {
                     events_coalesced: coalesced,
                     delivery_batches: batches,
-                    heap_pushes_avoided: avoided,
                     batches_recycled: recycled,
                     windows,
                 });
@@ -511,10 +506,6 @@ pub fn to_json(results: &[BenchResult], fanout: Option<&FanoutResult>, host: &Ho
                 d.delivery_batches
             ));
             out.push_str(&format!(
-                "        \"heap_pushes_avoided\": {},\n",
-                d.heap_pushes_avoided
-            ));
-            out.push_str(&format!(
                 "        \"batches_recycled\": {},\n",
                 d.batches_recycled
             ));
@@ -581,7 +572,6 @@ pub fn validate_schema(json: &str) -> Result<(), String> {
         "\"measured_unix\"",
         "\"delivery\"",
         "\"events_coalesced\"",
-        "\"heap_pushes_avoided\"",
         "\"batches_recycled\"",
         "\"serve_fanout\"",
         "\"runs\"",
@@ -676,13 +666,8 @@ pub fn render(results: &[BenchResult]) -> String {
         if let Some(d) = &r.delivery {
             out.push_str(&format!(
                 "\n{}: {} deliveries coalesced into {} batches over {} windows \
-                 ({} heap pushes avoided, {} buffers recycled)",
-                r.name,
-                d.events_coalesced,
-                d.delivery_batches,
-                d.windows,
-                d.heap_pushes_avoided,
-                d.batches_recycled
+                 ({} buffers recycled)",
+                r.name, d.events_coalesced, d.delivery_batches, d.windows, d.batches_recycled
             ));
         }
     }
@@ -914,7 +899,6 @@ mod tests {
             delivery: Some(cluster_sim::DeliveryStats {
                 events_coalesced: 131_072,
                 delivery_batches: 4_096,
-                heap_pushes_avoided: 131_072,
                 batches_recycled: 4_000,
                 windows: 1_024,
             }),

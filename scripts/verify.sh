@@ -110,9 +110,13 @@ serve_pid=$!
 for _ in $(seq 1 200); do [ -S "$serve_sock" ] && break; sleep 0.05; done
 [ -S "$serve_sock" ] || { echo "verify: server never bound $serve_sock" >&2; exit 1; }
 # Two clients concurrently: the single smoke run and the 8-cell grid.
-"$repro" serve-submit "$serve_sock" smoke --trace --timing --recovery --out-dir "$serve_dir/smoke" &
+# The socket file appears at bind, before listen, so the first clients
+# retry a refused connect instead of failing.
+"$repro" serve-submit "$serve_sock" smoke --trace --timing --recovery --retries 3 \
+    --out-dir "$serve_dir/smoke" &
 client_a=$!
-"$repro" serve-submit "$serve_sock" grid-smoke --trace --timing --recovery --out-dir "$serve_dir/grid" &
+"$repro" serve-submit "$serve_sock" grid-smoke --trace --timing --recovery --retries 3 \
+    --out-dir "$serve_dir/grid" &
 client_b=$!
 wait "$client_a" "$client_b"
 # The served smoke trace must be byte-identical to a direct recording.
@@ -151,8 +155,9 @@ wait_sock() {
 "$repro" serve --socket "$chaos_sock" --workers 2 --journal-dir "$chaos_dir/journal-ref" &
 ref_pid=$!
 wait_sock "$chaos_sock"
+# Retries cover the bind-before-listen window, as in the smoke above.
 "$repro" serve-submit "$chaos_sock" grid-smoke --trace --timing --recovery \
-    --token verify-grid --out-dir "$chaos_dir/ref" > /dev/null
+    --token verify-grid --retries 3 --out-dir "$chaos_dir/ref" > /dev/null
 "$repro" serve-shutdown "$chaos_sock"
 wait "$ref_pid"
 # The interrupted run: kill -9 the server while the tokened grid is in
