@@ -55,7 +55,6 @@ pub fn evaluate_policy(policy: &dyn ReplicationPolicy, tasks: &[TaskSample]) -> 
             argument_bytes: t.argument_bytes,
         };
         let replicate = policy.decide(&ctx);
-        policy.on_complete(&ctx, replicate);
         let lambda = t.rates.total().value();
         total_fit += lambda;
         total_time += t.duration;

@@ -5,22 +5,6 @@ use parking_lot::Mutex;
 
 use crate::policy::{DecisionCtx, EpochDecider, EpochDecision, ReplicationPolicy};
 
-/// When a task's failure rate is charged to `current_fit`.
-///
-/// The accumulated *sum* is identical either way (FIT is additive); the
-/// choice only affects which value concurrently deciding tasks observe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChargeOn {
-    /// Charge at decision time (default): deterministic under parallel
-    /// execution, slightly conservative — in-flight unreplicated tasks
-    /// are already counted.
-    #[default]
-    Decision,
-    /// Charge when the task completes — the paper's literal wording
-    /// ("after the task finishes, App FIT updates current fit").
-    Completion,
-}
-
 /// Configuration of an [`AppFit`] instance.
 #[derive(Debug, Clone, Copy)]
 pub struct AppFitConfig {
@@ -30,24 +14,12 @@ pub struct AppFitConfig {
     /// Total number of tasks `N`, which the paper assumes the user (or
     /// runtime) knows up front.
     pub n_tasks: u64,
-    /// Residual fraction of a replicated task's rate still charged
-    /// (models double faults; the paper treats replicated tasks as
-    /// fully covered, i.e. 0 — the default). Non-zero residuals void
-    /// the strict threshold guarantee (Eq. 1 does not see them).
-    pub residual_factor: f64,
-    /// Charging discipline (see [`ChargeOn`]).
-    pub charge_on: ChargeOn,
 }
 
 impl AppFitConfig {
     /// Paper-default configuration for a threshold and task count.
     pub fn new(threshold: Fit, n_tasks: u64) -> Self {
-        AppFitConfig {
-            threshold,
-            n_tasks,
-            residual_factor: 0.0,
-            charge_on: ChargeOn::Decision,
-        }
+        AppFitConfig { threshold, n_tasks }
     }
 }
 
@@ -95,10 +67,6 @@ impl AppFit {
             config.threshold.value() >= 0.0,
             "threshold must be non-negative"
         );
-        assert!(
-            (0.0..=1.0).contains(&config.residual_factor),
-            "residual factor must be in [0, 1]"
-        );
         AppFit {
             config,
             state: Mutex::new(State::default()),
@@ -126,14 +94,6 @@ impl AppFit {
     pub fn replicated(&self) -> u64 {
         self.state.lock().replicated
     }
-
-    fn charge(state: &mut State, lambda: f64, replicated: bool, residual: f64) {
-        state.current_fit += if replicated {
-            lambda * residual
-        } else {
-            lambda
-        };
-    }
 }
 
 /// The Eq. 1 test itself — the single definition both the sequential
@@ -159,23 +119,10 @@ impl ReplicationPolicy for AppFit {
         s.decided += 1;
         if replicate {
             s.replicated += 1;
-        }
-        if self.config.charge_on == ChargeOn::Decision {
-            Self::charge(&mut s, lambda, replicate, self.config.residual_factor);
+        } else {
+            s.current_fit += lambda;
         }
         replicate
-    }
-
-    fn on_complete(&self, ctx: &DecisionCtx, replicated: bool) {
-        if self.config.charge_on == ChargeOn::Completion {
-            let mut s = self.state.lock();
-            Self::charge(
-                &mut s,
-                ctx.rates.total().value(),
-                replicated,
-                self.config.residual_factor,
-            );
-        }
     }
 
     /// Window fork for sharded simulation: snapshots `(current_fit, i)`
@@ -194,41 +141,29 @@ impl ReplicationPolicy for AppFit {
     }
 
     /// Applies the epoch's decisions to the global state in canonical
-    /// order. Both charging disciplines account here: in the simulator
-    /// the charge lands between one decision and the next either way,
-    /// so the committed sums are identical (see [`ChargeOn`]).
+    /// order, charging each exactly as [`AppFit::decide`] would have.
     fn commit_epoch(&self, decisions: &[EpochDecision]) {
         let mut s = self.state.lock();
         for d in decisions {
             s.decided += 1;
             if d.replicate {
                 s.replicated += 1;
+            } else {
+                s.current_fit += d.ctx.rates.total().value();
             }
-            Self::charge(
-                &mut s,
-                d.ctx.rates.total().value(),
-                d.replicate,
-                self.config.residual_factor,
-            );
             if d.replica_lagged {
                 // Charge-back at this decision's slot of the canonical
-                // order — the same float-op sequence the sequential
-                // engine performs inline, so single-node runs stay
-                // bit-identical (see `on_replica_failed`).
-                s.current_fit += d.ctx.rates.total().value() * (1.0 - self.config.residual_factor);
+                // order, where the sequential engine's inline one lands.
+                s.current_fit += d.ctx.rates.total().value();
             }
         }
     }
 
     /// A lagging replica was abandoned and the primary ran effectively
-    /// unprotected: charge the full rate back to the exposed budget.
-    /// (The decision-time charge was `lambda × residual_factor`; this
-    /// adds the complement so the task ends up charged exactly like an
-    /// unreplicated one.)
+    /// unprotected: charge the task's full rate back to the exposed
+    /// budget, so it ends up charged exactly like an unreplicated one.
     fn on_replica_failed(&self, ctx: &DecisionCtx) {
-        let lambda = ctx.rates.total().value();
-        let mut s = self.state.lock();
-        s.current_fit += lambda * (1.0 - self.config.residual_factor);
+        self.state.lock().current_fit += ctx.rates.total().value();
     }
 
     fn name(&self) -> &'static str {
@@ -270,14 +205,9 @@ impl EpochDecider for AppFitEpochFork {
         let lambda = ctx.rates.total().value();
         let replicate = eq1_replicate(&config, *current_fit, *decided, lambda);
         *decided += 1;
-        // Charge locally regardless of discipline: in virtual time the
-        // sequential engine charges between this decision and the next
-        // for both `ChargeOn` variants.
-        *current_fit += if replicate {
-            lambda * config.residual_factor
-        } else {
-            lambda
-        };
+        if !replicate {
+            *current_fit += lambda;
+        }
         replicate
     }
 
@@ -285,8 +215,7 @@ impl EpochDecider for AppFitEpochFork {
         // Mirror the commit-time charge-back on the local view so later
         // in-window decisions on this node see the exposed rate — the
         // sequential engine's inline charge does the same.
-        let residual = self.config.residual_factor;
-        self.view(view).0 += ctx.rates.total().value() * (1.0 - residual);
+        self.view(view).0 += ctx.rates.total().value();
     }
 }
 
@@ -371,30 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn charge_on_completion_defers_accounting() {
-        let h = AppFit::new(AppFitConfig {
-            charge_on: ChargeOn::Completion,
-            ..AppFitConfig::new(Fit::new(10.0), 4)
-        });
-        let c = ctx(0, 1.0);
-        let replicated = h.decide(&c);
-        assert!(!replicated);
-        assert_eq!(h.current_fit().value(), 0.0); // not yet charged
-        h.on_complete(&c, replicated);
-        assert_eq!(h.current_fit().value(), 1.0);
-    }
-
-    #[test]
-    fn residual_factor_charges_replicated_tasks() {
-        let h = AppFit::new(AppFitConfig {
-            residual_factor: 0.25,
-            ..AppFitConfig::new(Fit::new(0.0), 4)
-        });
-        assert!(h.decide(&ctx(0, 2.0))); // threshold 0 ⇒ replicate
-        assert_eq!(h.current_fit().value(), 0.5); // 2.0 × 0.25
-    }
-
-    #[test]
     fn replica_failure_charges_full_rate_back() {
         // Threshold 0 ⇒ every task is replicated and charged nothing.
         let h = AppFit::new(AppFitConfig::new(Fit::new(0.0), 2));
@@ -404,21 +309,6 @@ mod tests {
         // The replica lagged out: the task ran effectively unprotected.
         h.on_replica_failed(&c);
         assert_eq!(h.current_fit().value(), 3.0);
-    }
-
-    #[test]
-    fn replica_failure_respects_residual_factor() {
-        // With residual 0.25 the decision already charged 0.25 λ; the
-        // charge-back adds the remaining 0.75 λ for a total of λ.
-        let h = AppFit::new(AppFitConfig {
-            residual_factor: 0.25,
-            ..AppFitConfig::new(Fit::new(0.0), 2)
-        });
-        let c = ctx(0, 2.0);
-        assert!(h.decide(&c));
-        assert_eq!(h.current_fit().value(), 0.5);
-        h.on_replica_failed(&c);
-        assert_eq!(h.current_fit().value(), 2.0);
     }
 
     #[test]

@@ -84,10 +84,6 @@ impl<P: ReplicationPolicy> ReplicationPolicy for Observed<P> {
         replicate
     }
 
-    fn on_complete(&self, ctx: &DecisionCtx, replicated: bool) {
-        self.policy.on_complete(ctx, replicated);
-    }
-
     fn fork_epoch(&self) -> Box<dyn EpochDecider + '_> {
         // Forks decide provisionally; the sink hears about the epoch at
         // commit time, in canonical order.

@@ -17,7 +17,7 @@
 //! *without* protection, `N` is the total number of tasks and `i` counts
 //! decisions so far. If running task `T` unprotected would push the
 //! accumulated rate past the pro-rated budget, the task is replicated
-//! (and contributes ~nothing to `current_fit`); otherwise it runs
+//! (and contributes nothing to `current_fit`); otherwise it runs
 //! unprotected and its rate is charged. The heuristic needs **no
 //! profiling and no extra runtime information** — only the argument
 //! sizes dataflow annotations provide.
@@ -35,7 +35,7 @@ pub mod oracle;
 pub mod policy;
 
 pub use accounting::{evaluate_policy, PolicySummary, TaskSample};
-pub use appfit::{AppFit, AppFitConfig, ChargeOn};
+pub use appfit::{AppFit, AppFitConfig};
 pub use hooks::{DecisionSink, Observed};
 pub use oracle::{oracle_dp, oracle_greedy, OracleSolution};
 pub use policy::{

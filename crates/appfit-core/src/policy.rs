@@ -23,13 +23,6 @@ pub trait ReplicationPolicy: Send + Sync {
     /// `true` ⇒ replicate this task (checkpoint + duplicate + compare).
     fn decide(&self, ctx: &DecisionCtx) -> bool;
 
-    /// Called when the task's execution finishes; `replicated` echoes
-    /// the earlier decision. Policies that charge accounting at
-    /// completion time hook in here.
-    fn on_complete(&self, ctx: &DecisionCtx, replicated: bool) {
-        let _ = (ctx, replicated);
-    }
-
     /// Forks the decision views of one *synchronization window* of
     /// windowed simulation (`cluster-sim`'s sharded engine — a fixed
     /// epoch or a variable lookahead horizon — and its sequential
@@ -54,20 +47,13 @@ pub trait ReplicationPolicy: Send + Sync {
     /// policies account here and treat fork-local accumulation as
     /// scratch.
     ///
-    /// The default forwards each decision to
-    /// [`ReplicationPolicy::on_complete`] — then, for decisions whose
-    /// replica lagged out at runtime, to
-    /// [`ReplicationPolicy::on_replica_failed`] — preserving
-    /// completion-time accounting for policies that only implement the
-    /// sequential surface; policies that override
-    /// [`ReplicationPolicy::fork_epoch`] should override this too and
-    /// account exactly once.
+    /// The default forwards each decision whose replica lagged out at
+    /// runtime to [`ReplicationPolicy::on_replica_failed`]; policies
+    /// that override [`ReplicationPolicy::fork_epoch`] should override
+    /// this too and account exactly once.
     fn commit_epoch(&self, decisions: &[EpochDecision]) {
-        for d in decisions {
-            self.on_complete(&d.ctx, d.replicate);
-            if d.replica_lagged {
-                self.on_replica_failed(&d.ctx);
-            }
+        for d in decisions.iter().filter(|d| d.replica_lagged) {
+            self.on_replica_failed(&d.ctx);
         }
     }
 
@@ -77,11 +63,10 @@ pub trait ReplicationPolicy: Send + Sync {
     /// policy paid for (and accounted as covered) never materialized,
     /// so reliability-accounting policies charge the task's failure
     /// rate back to the exposed budget here. The sequential engine
-    /// calls this right after [`ReplicationPolicy::on_complete`] for
-    /// the lagging dispatch; on the windowed paths the charge-back
-    /// rides the committed decision itself
-    /// ([`EpochDecision::replica_lagged`]) so it lands at exactly the
-    /// same point of the canonical order.
+    /// calls this right after the lagging dispatch's decision; on the
+    /// windowed paths the charge-back rides the committed decision
+    /// itself ([`EpochDecision::replica_lagged`]) so it lands at exactly
+    /// the same point of the canonical order.
     fn on_replica_failed(&self, ctx: &DecisionCtx) {
         let _ = ctx;
     }
@@ -167,9 +152,6 @@ impl<P: ReplicationPolicy + ?Sized> EpochDecider for PassThroughDecider<'_, P> {
 impl<P: ReplicationPolicy + ?Sized> ReplicationPolicy for std::sync::Arc<P> {
     fn decide(&self, ctx: &DecisionCtx) -> bool {
         (**self).decide(ctx)
-    }
-    fn on_complete(&self, ctx: &DecisionCtx, replicated: bool) {
-        (**self).on_complete(ctx, replicated);
     }
     fn fork_epoch(&self) -> Box<dyn EpochDecider + '_> {
         (**self).fork_epoch()

@@ -1,8 +1,8 @@
 //! Property-based tests of the App_FIT invariants and the oracles.
 
 use appfit_core::{
-    evaluate_policy, oracle_dp, oracle_greedy, AppFit, AppFitConfig, ChargeOn, DecisionCtx,
-    EpochDecision, ReplicationPolicy, TaskSample,
+    evaluate_policy, oracle_dp, oracle_greedy, AppFit, AppFitConfig, DecisionCtx, EpochDecision,
+    ReplicationPolicy, TaskSample,
 };
 use fit_model::{Fit, TaskRates};
 use proptest::prelude::*;
@@ -20,24 +20,17 @@ fn ctx(id: u64, lambda: f64) -> DecisionCtx {
 }
 
 proptest! {
-    /// **The paper's central guarantee**: with residual 0, the FIT
-    /// accumulated by unprotected tasks never exceeds the threshold —
-    /// for any task stream, any threshold, either charging discipline.
+    /// **The paper's central guarantee**: the FIT accumulated by
+    /// unprotected tasks never exceeds the threshold — for any task
+    /// stream and any threshold.
     #[test]
     fn threshold_never_exceeded(
         lambdas in lambda_stream(),
         threshold in 0.0f64..1000.0,
-        charge_on_completion in proptest::bool::ANY,
     ) {
-        let config = AppFitConfig {
-            charge_on: if charge_on_completion { ChargeOn::Completion } else { ChargeOn::Decision },
-            ..AppFitConfig::new(Fit::new(threshold), lambdas.len() as u64)
-        };
-        let h = AppFit::new(config);
+        let h = AppFit::new(AppFitConfig::new(Fit::new(threshold), lambdas.len() as u64));
         for (i, &lam) in lambdas.iter().enumerate() {
-            let c = ctx(i as u64, lam);
-            let r = h.decide(&c);
-            h.on_complete(&c, r);
+            h.decide(&ctx(i as u64, lam));
         }
         prop_assert!(h.current_fit().value() <= threshold + threshold * 1e-12 + 1e-9,
             "current_fit {} > threshold {}", h.current_fit().value(), threshold);
@@ -160,13 +153,11 @@ proptest! {
         committed in proptest::collection::vec((0.0f64..100.0, proptest::bool::ANY), 0..20),
         stream in proptest::collection::vec((0usize..5, 0.0f64..100.0, proptest::bool::ANY), 1..200),
         threshold in 0.0f64..2000.0,
-        residual in 0.0f64..1.0,
     ) {
-        let config = AppFitConfig {
-            residual_factor: residual,
-            ..AppFitConfig::new(Fit::new(threshold), (committed.len() + stream.len()) as u64)
-        };
-        let h = AppFit::new(config);
+        let h = AppFit::new(AppFitConfig::new(
+            Fit::new(threshold),
+            (committed.len() + stream.len()) as u64,
+        ));
         // A non-trivial snapshot for every fork to start from.
         let prior: Vec<EpochDecision> = committed
             .iter()

@@ -73,9 +73,8 @@
 //! [`RecordStore`] (packed flag bitsets) that converts to
 //! [`SimReport`] at the boundary, event-heap entries are packed
 //! [`events::EventKey`]s, and per-node ready queues are intrusive
-//! index-linked lists over one shared arena. `repro bench-sim`
-//! (`scripts/bench.sh`) tracks the resulting throughput and peak
-//! memory per release in `BENCH_sim.json`.
+//! index-linked lists over one shared arena. The repo benchmark
+//! (`bench/`) measures the resulting throughput and peak memory.
 
 #![deny(missing_docs)]
 

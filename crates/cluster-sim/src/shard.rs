@@ -556,7 +556,7 @@ pub fn simulate_sharded(graph: &SimGraph, cfg: &SimConfig, shard_cfg: &ShardedCo
 }
 
 /// [`simulate_sharded`] plus the run's [`DeliveryStats`] — the perf
-/// counters `bench-sim` records next to throughput so delivery-path
+/// counters `bench/` reports next to throughput so delivery-path
 /// wins (and regressions) stay attributable. The report is the
 /// identical bit-comparable result; only the counters are extra.
 pub fn simulate_sharded_stats(

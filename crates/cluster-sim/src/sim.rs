@@ -251,9 +251,7 @@ struct Sequential<'c>(&'c dyn ReplicationPolicy);
 impl Decider for Sequential<'_> {
     #[inline]
     fn decide(&mut self, _ln: usize, ctx: &DecisionCtx) -> bool {
-        let replicate = self.0.decide(ctx);
-        self.0.on_complete(ctx, replicate);
-        replicate
+        self.0.decide(ctx)
     }
 
     #[inline]

@@ -1,16 +1,16 @@
-//! Ablation studies beyond the paper's figures (DESIGN.md §5, rows
-//! A1–A3, plus A4 for the sharded engine and A5 for the recovery
+//! Ablation studies beyond the paper's figures (DESIGN.md §5, rows A1
+//! and A2, plus A4 for the sharded engine and A5 for the recovery
 //! subsystem): how far is App_FIT from the offline knapsack optimum,
-//! how does the replication fraction respond to the threshold, what do
-//! the accounting variants change, how sensitive are
-//! sharded-simulation results to the epoch length, and what does
-//! checkpoint/restart buy compared to replication at equal overhead.
+//! how does the replication fraction respond to the threshold, how
+//! sensitive are sharded-simulation results to the epoch length, and
+//! what does checkpoint/restart buy compared to replication at equal
+//! overhead.
 
 use std::sync::Arc;
 
 use appfit_core::{
-    evaluate_policy, oracle_dp, oracle_greedy, AppFit, AppFitConfig, ChargeOn, PeriodicPolicy,
-    RandomPolicy, ReplicateAll, TaskSample,
+    evaluate_policy, oracle_dp, oracle_greedy, AppFit, AppFitConfig, PeriodicPolicy, RandomPolicy,
+    ReplicateAll, TaskSample,
 };
 use cluster_sim::{
     simulate, simulate_sharded, CostModel, RecoveryConfig, ShardedConfig, SimConfig,
@@ -270,80 +270,6 @@ pub fn render_sweep(rows: &[SweepRow]) -> String {
     format!(
         "Ablation A2 — replication fraction vs error-rate multiplier\n\
          (Takeaway-1: modest rate increases need much less replication)\n\n{}",
-        t.render()
-    )
-}
-
-// ---------------------------------------------------------------------
-// A3: accounting variants
-// ---------------------------------------------------------------------
-
-/// One accounting configuration's outcome (averaged over benchmarks).
-#[derive(Debug, Clone)]
-pub struct AccountingRow {
-    /// Description of the variant.
-    pub variant: String,
-    /// Mean task fraction replicated.
-    pub mean_task_fraction: f64,
-    /// Benchmarks whose threshold held.
-    pub targets_met: usize,
-    /// Total benchmarks.
-    pub total: usize,
-}
-
-/// Compares charge-at-decision vs charge-at-completion and residual
-/// factors.
-pub fn run_accounting(scale: ExperimentScale, multiplier: f64) -> Vec<AccountingRow> {
-    let variants: Vec<(String, ChargeOn, f64)> = vec![
-        ("decision, residual 0".into(), ChargeOn::Decision, 0.0),
-        ("completion, residual 0".into(), ChargeOn::Completion, 0.0),
-        ("decision, residual 0.01".into(), ChargeOn::Decision, 0.01),
-        ("decision, residual 0.10".into(), ChargeOn::Decision, 0.10),
-    ];
-    variants
-        .into_iter()
-        .map(|(name, charge_on, residual)| {
-            let mut fractions = Vec::new();
-            let mut met = 0usize;
-            let mut total = 0usize;
-            for w in all_workloads() {
-                let (samples, threshold) = task_samples(w.as_ref(), scale, multiplier);
-                let appfit = AppFit::new(AppFitConfig {
-                    charge_on,
-                    residual_factor: residual,
-                    ..AppFitConfig::new(Fit::new(threshold), samples.len() as u64)
-                });
-                let s = evaluate_policy(&appfit, &samples);
-                fractions.push(s.task_fraction);
-                total += 1;
-                // The residual contributes to current_fit but the
-                // *unprotected* fit is the reliability-relevant number.
-                if s.unprotected_fit <= threshold * (1.0 + 1e-9) {
-                    met += 1;
-                }
-            }
-            AccountingRow {
-                variant: name,
-                mean_task_fraction: fractions.iter().sum::<f64>() / fractions.len() as f64,
-                targets_met: met,
-                total,
-            }
-        })
-        .collect()
-}
-
-/// Renders the accounting comparison.
-pub fn render_accounting(rows: &[AccountingRow]) -> String {
-    let mut t = TextTable::new(vec!["variant", "mean tasks repl.", "targets met"]);
-    for r in rows {
-        t.row(vec![
-            r.variant.clone(),
-            pct(r.mean_task_fraction),
-            format!("{}/{}", r.targets_met, r.total),
-        ]);
-    }
-    format!(
-        "Ablation A3 — Eq. 1 accounting variants (at one multiplier)\n\n{}",
         t.render()
     )
 }
@@ -741,12 +667,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn accounting_variants_all_meet_targets_with_zero_residual() {
-        let rows = run_accounting(ExperimentScale::Small, 10.0);
-        assert_eq!(rows[0].targets_met, rows[0].total);
-        assert_eq!(rows[1].targets_met, rows[1].total);
     }
 }

@@ -13,7 +13,6 @@
 //!   fig6               Figure 6 — distributed scalability
 //!   ablate-oracle      A1 — App_FIT vs offline knapsack oracles
 //!   ablate-sweep       A2 — replication vs error-rate multiplier
-//!   ablate-accounting  A3 — Eq. 1 accounting variants
 //!   ablate-epoch       A4 — sharded-engine epoch sensitivity
 //!   ablate-recovery    A5 — replication vs checkpoint/restart under crashes
 //!   all                everything above
@@ -37,12 +36,6 @@
 //!                                 running server
 //!   serve-shutdown SOCKET         stop a running server
 //!
-//! perf tracking:
-//!   bench-sim [--smoke] [--out F] [--repeat N]
-//!                                 measure sweep-1m + stress-huge-*
-//!                                 throughput/memory (best of N runs),
-//!                                 write BENCH_sim.json
-//!
 //! model checking:
 //!   check-shards [--budget-secs N] [--preemption-bound N]
 //!                [--scenario NAME] [--mode epoch|lookahead]
@@ -56,9 +49,7 @@
 use std::process::ExitCode;
 
 use repro_bench::context::ExperimentScale;
-use repro_bench::{
-    ablations, bench_sim, fig1, fig3, fig4, fig5, fig6, scenario_cli, serve_cli, table1,
-};
+use repro_bench::{ablations, fig1, fig3, fig4, fig5, fig6, scenario_cli, serve_cli, table1};
 
 struct Options {
     scale: ExperimentScale,
@@ -108,10 +99,6 @@ fn run_command(cmd: &str, opt: &Options) -> Result<(), String> {
                 &[1.5, 2.0, 5.0, 10.0, 20.0, 50.0]
             ))
         ),
-        "ablate-accounting" => print!(
-            "{}",
-            ablations::render_accounting(&ablations::run_accounting(opt.scale, 10.0))
-        ),
         "ablate-epoch" => print!(
             "{}",
             ablations::render_epoch_sensitivity(&ablations::run_epoch_sensitivity(
@@ -134,7 +121,6 @@ fn run_command(cmd: &str, opt: &Options) -> Result<(), String> {
                 "fig6",
                 "ablate-oracle",
                 "ablate-sweep",
-                "ablate-accounting",
                 "ablate-epoch",
                 "ablate-recovery",
             ] {
@@ -226,15 +212,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("check-shards") {
         return match check_shards(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("bench-sim") {
-        return match bench_sim::run(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

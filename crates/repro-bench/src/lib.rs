@@ -13,7 +13,7 @@
 //! | [`fig4::run`] | Figure 4 — replication overheads |
 //! | [`fig5::run`] | Figure 5 — shared-memory scalability |
 //! | [`fig6::run`] | Figure 6 — distributed scalability |
-//! | [`ablations`] | oracle gap, threshold sweep, accounting modes |
+//! | [`ablations`] | oracle gap, threshold sweep, epoch sensitivity, recovery |
 //!
 //! ## Calibration note (EXPERIMENTS.md has the full discussion)
 //!
@@ -30,7 +30,6 @@
 //! with heterogeneous tasks — is reproduced.
 
 pub mod ablations;
-pub mod bench_sim;
 pub mod context;
 pub mod fig1;
 pub mod fig3;

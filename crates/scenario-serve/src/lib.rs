@@ -3,9 +3,9 @@
 //!
 //! The paper's value is answering *what-if* reliability questions —
 //! replication fraction vs App_FIT target vs makespan — and every
-//! question pays the graph build (60–680 ms per BENCH_sim.json) even
-//! when thousands of queries share one topology. This crate keeps the
-//! simulator resident so that cost is paid once per topology:
+//! question pays the graph build (`bench/`'s `graph.build_s` layer)
+//! even when thousands of queries share one topology. This crate keeps
+//! the simulator resident so that cost is paid once per topology:
 //!
 //! * [`GraphCatalog`] — immutable [`cluster_sim::SimGraph`]s behind
 //!   `Arc`, keyed by [`scenario::ScenarioSpec::graph_key`] (the

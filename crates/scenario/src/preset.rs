@@ -239,7 +239,8 @@ pub fn presets() -> Vec<ScenarioSpec> {
     // activation delay (≫ the 1.5 µs wire floor, ≪ the ~0.8 s auto
     // epoch) trades some of epoch mode's batching throughput for
     // cross-node timing ~80× tighter than the epoch quantization —
-    // `bench-sim` tracks its throughput next to `sweep-1m`'s.
+    // `bench/`'s `lookahead-1m` workload tracks its throughput next to
+    // `epoch-1m`'s (`sweep-1m`).
     out.push(ScenarioSpec {
         name: "lookahead-1m".into(),
         topology: TopologySpec::distributed(1024),

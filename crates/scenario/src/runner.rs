@@ -209,16 +209,25 @@ pub fn run_on(
         PolicySpec::Random { probability, seed } => Arc::new(RandomPolicy::new(probability, seed)),
         PolicySpec::Periodic { every } => Arc::new(PeriodicPolicy::new(every)),
         PolicySpec::AppFit { target } => {
+            // N counts compute tasks only: engines never decide a
+            // `taskwait` barrier.
+            let mut n_tasks = 0u64;
+            let tasks = graph
+                .tasks()
+                .iter()
+                .inspect(|t| n_tasks += u64::from(!t.is_barrier));
             let threshold = match target {
-                TargetSpec::Fit(fit) => fit,
+                TargetSpec::Fit(fit) => {
+                    tasks.for_each(drop);
+                    fit
+                }
                 TargetSpec::Fraction(fraction) => {
-                    let total: f64 = graph.tasks().iter().map(|t| t.rates.total().value()).sum();
-                    total * fraction
+                    tasks.map(|t| t.rates.total().value()).sum::<f64>() * fraction
                 }
             };
             let handle = Arc::new(AppFit::new(AppFitConfig::new(
                 Fit::new(threshold),
-                (graph.len() as u64).max(1),
+                n_tasks.max(1),
             )));
             appfit_handle = Some(Arc::clone(&handle));
             handle

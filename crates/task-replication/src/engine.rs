@@ -486,7 +486,6 @@ impl ExecutionHooks for ReplicationEngine {
                 _ => {}
             }
         }
-        self.policy.on_complete(&ctx, replicate);
         rec
     }
 }

@@ -11,33 +11,27 @@
 #   7. a scenario smoke run: record → replay → diff of a tiny preset
 #      through the release binary (the cross-process half of the
 #      trace determinism contract),
-#   8. a release-mode `bench-sim --smoke` run (small presets, both
-#      sync modes; asserts the BENCH_sim.json schema so the
-#      perf-tracking machinery can't rot — no timing is gated here:
-#      sub-millisecond smoke runs read anywhere from 4× to 48× apart
-#      on a shared host, and speed is judged by `bench/` under the
-#      BENCHMARK.json protocol),
-#   9. the cross-engine conformance harness in release mode (fixed
+#   8. the cross-engine conformance harness in release mode (fixed
 #      seeds: lookahead ≡ sequential reference bitwise, per-mode
 #      shard-layout invariance, lookahead error ≤ epoch error), plus
 #      a `scenario run` smoke of a lookahead preset,
-#  10. the shard-protocol model-checking gate in release mode:
+#   9. the shard-protocol model-checking gate in release mode:
 #      `shard-check --exhaustive-small` fully enumerates (post-pruning)
 #      every catalog scenario's interleavings in both sync modes
 #      against the sequential oracle, under a wall-clock budget —
 #      including the crash-bearing `pair8-crash` entry, so the
 #      recovery protocol is exhausted too,
-#  11. a crash-recovery smoke: record → replay → diff of the
+#  10. a crash-recovery smoke: record → replay → diff of the
 #      `crash-sweep` preset with the recovery-event stream embedded
 #      (Trace v3), proving crash/repair/restart actions replay
 #      bitwise across processes,
-#  12. a scenario-service smoke: a resident `repro serve` on a Unix
+#  11. a scenario-service smoke: a resident `repro serve` on a Unix
 #      socket, two concurrent clients submitting `smoke` and the
 #      8-cell `grid-smoke` sweep with traces, every served trace
 #      bitwise-compared against a direct `scenario record` of the
 #      same cell, then a clean `serve-shutdown` (socket file gone,
 #      server exit 0),
-#  13. the chaos gate, in release mode: the seeded fault-injection
+#  12. the chaos gate, in release mode: the seeded fault-injection
 #      suite (`chaos`, `journal_resume`, `backpressure` integration
 #      tests), then a crash-resume flow through the release binary —
 #      a journalled tokened grid is `kill -9`ed mid-flight, the
@@ -45,7 +39,7 @@
 #      stale-socket probe/unlink), the token resubmitted with the
 #      retrying client, and every resumed trace `cmp`ed against an
 #      uninterrupted run's,
-#  14. the repo benchmark's harness (`bench/`, a package outside this
+#  13. the repo benchmark's harness (`bench/`, a package outside this
 #      workspace that compiles against the crates' public API): its
 #      `--smoke` run (every workload, both passes, all output checks,
 #      small inputs) and its own unit tests — so a crate-API change
@@ -79,10 +73,6 @@ smoke_trace="target/verify-smoke.trace"
 cargo run --release -q -p repro-bench --bin repro -- scenario record smoke --out "$smoke_trace"
 cargo run --release -q -p repro-bench --bin repro -- scenario replay "$smoke_trace"
 cargo run --release -q -p repro-bench --bin repro -- scenario diff "$smoke_trace" "$smoke_trace"
-
-echo "==> bench-sim smoke (schema check)"
-cargo run --release -q -p repro-bench --bin repro -- bench-sim --smoke --repeat 3 \
-    --out target/verify-bench-sim.json
 
 echo "==> cross-engine conformance harness (release, fixed seeds)"
 cargo test --release -q -p cluster-sim --test conformance

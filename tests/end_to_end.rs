@@ -4,11 +4,13 @@
 
 use std::sync::Arc;
 
-use appfit::dataflow::Executor;
+use appfit::dataflow::{DataArena, Executor, Region, TaskGraph, TaskSpec};
 use appfit::fault::{InjectionConfig, SeededInjector};
 use appfit::fit::{Fit, RateModel};
-use appfit::heuristic::{AppFit, AppFitConfig, ReplicateAll, ReplicationPolicy};
+use appfit::heuristic::{AppFit, AppFitConfig, DecisionCtx, ReplicateAll, ReplicationPolicy};
 use appfit::replication::ReplicationEngine;
+use appfit::scenario::{preset, rate_model, run_on};
+use appfit::sim::SimGraph;
 use appfit::workloads::{all_workloads, Scale};
 
 /// Today's FIT of a graph = Σ task rates at 1×.
@@ -159,4 +161,54 @@ fn parallel_and_sequential_protected_runs_agree() {
         let c = appfit::dataflow::BufferId::from_raw(2);
         assert_eq!(arena.read(c), &reference[..], "threads={threads}");
     }
+}
+
+/// App_FIT's N counts compute tasks only: `taskwait` barriers are never
+/// decided, so the scenario runner must not budget for them.
+#[test]
+fn scenario_appfit_budget_excludes_barriers() {
+    // Every task updates `token`, so the graph is a chain and the
+    // engine decides in id order; the read buffers vary the rates.
+    let mut arena = DataArena::new();
+    let token = arena.alloc_virtual("token", 1);
+    let mut graph = TaskGraph::new();
+    for i in 0..60 {
+        let len = 1 + (i * 37) % 500;
+        let buf = arena.alloc_virtual("in", len);
+        graph.submit(
+            TaskSpec::new("work")
+                .reads(Region::full(buf, len))
+                .updates(Region::full(token, 1)),
+        );
+        if i % 4 == 3 {
+            graph.taskwait();
+        }
+    }
+    // One fault-free node, App_FIT at a 50 % target, sequential engine.
+    let spec = preset("fig4-cholesky").expect("catalog preset");
+    let sim = SimGraph::from_task_graph(&graph, &rate_model(&spec), |_| 0);
+    let outcome = run_on(&spec, &sim, None).expect("runs");
+
+    let compute: Vec<_> = sim.tasks().iter().filter(|t| !t.is_barrier).collect();
+    let threshold = outcome.appfit.expect("App_FIT stats").threshold;
+    let h = AppFit::new(AppFitConfig::new(Fit::new(threshold), compute.len() as u64));
+    let expected: Vec<bool> = compute
+        .iter()
+        .map(|t| {
+            h.decide(&DecisionCtx {
+                id: t.id as u64,
+                rates: t.rates,
+                argument_bytes: t.argument_bytes,
+            })
+        })
+        .collect();
+    let replicated: Vec<bool> = outcome
+        .report
+        .records()
+        .iter()
+        .filter(|r| !r.is_barrier)
+        .map(|r| r.replicated)
+        .collect();
+    assert!(expected.contains(&true) && expected.contains(&false));
+    assert_eq!(replicated, expected);
 }
